@@ -39,7 +39,7 @@ from .model import (
 from .smt2 import parse_smt2
 from .volce import parse_volce, print_volce
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Backend",

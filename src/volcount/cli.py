@@ -36,7 +36,7 @@ options:
   -minc=N       first-round samples per phase = N * phases (default 40)
   -maxc=N       second-round cap per phase = N * phases (default 1600)
   --seed=N      random seed (default 0)
-  --burnin=N    extra warm-up steps per sampling phase (default 0)
+  --burnin=N    lock steps each sampling chain discards per phase (default 0)
   --timeout=S   per-run time limit in seconds
   --json        machine-readable report on stdout
   --help        show this message

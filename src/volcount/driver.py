@@ -5,17 +5,13 @@ rerunning with the same seed reproduces results bit for bit.  The JSON report
 deliberately omits wall-clock time (the one nondeterministic quantity); the
 text report includes it.
 
-Per-bunch estimator randomness is keyed as (seed xor bunch index, round), so
-a thread pool (VOLCOUNT_THREADS) changes scheduling but never changes any
-stream of random draws.
+Per-bunch estimator randomness is keyed as (seed xor bunch index, round).
 """
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -173,24 +169,6 @@ def _fmt(value: object) -> str:
     return f"{value:.6g}"
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("VOLCOUNT_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def _pmap(fn: Callable, items: Sequence) -> list:
-    threads = _thread_count()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def load_formula(path: str) -> Formula:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -280,7 +258,7 @@ def _run_simple(key: str, outcomes, geometry, worker: Callable) -> None:
         except BackendError as exc:
             return None, str(exc)
 
-    for outcome, (value, err) in zip(outcomes, _pmap(guarded, geometry)):
+    for outcome, (value, err) in zip(outcomes, map(guarded, geometry)):
         if err is None:
             outcome.values[key] = value
         else:
@@ -304,8 +282,7 @@ def _run_estimate(config, n, outcomes, geometry, deadline) -> Optional[dict]:
     smin = config.min_coeff * phases
     smax = config.max_coeff * phases
 
-    def round_one(item):
-        polytope, index = item
+    def round_one(polytope, index):
         try:
             rounded = est_mod.round_polytope(polytope, deadline)
             if rounded is None:
@@ -322,28 +299,29 @@ def _run_estimate(config, n, outcomes, geometry, deadline) -> Optional[dict]:
         except BackendError as exc:
             return 0.0, None, 0, str(exc)
 
-    first = _pmap(round_one, [(poly, i) for i, (poly, _) in enumerate(geometry)])
+    first = [round_one(poly, i) for i, (poly, _) in enumerate(geometry)]
     volumes = [v for v, _, _, _ in first]
     plan = two_round_sizes(volumes, smin, smax)
 
-    def round_two(item):
-        index, rounded, size = item
-        result = est_mod.estimate_volume(
-            rounded,
-            size,
-            seed=config.seed ^ index,
-            stream=1,
-            burnin=config.burnin,
-            deadline=deadline,
-        )
-        return index, result.volume, result.ledger.fresh_total
+    def round_two(index, rounded, size):
+        try:
+            result = est_mod.estimate_volume(
+                rounded,
+                size,
+                seed=config.seed ^ index,
+                stream=1,
+                burnin=config.burnin,
+                deadline=deadline,
+            )
+        except BackendError as exc:
+            return 0.0, 0, str(exc)
+        return result.volume, result.ledger.fresh_total, None
 
-    second_jobs = [
-        (i, first[i][1], plan.sizes[i])
+    second = {
+        i: round_two(i, first[i][1], plan.sizes[i])
         for i in range(len(outcomes))
         if plan.sizes[i] is not None and first[i][1] is not None and first[i][3] is None
-    ]
-    second = {i: (vol, fresh) for i, vol, fresh in _pmap(round_two, second_jobs)}
+    }
 
     used_coeffs = []
     for i, outcome in enumerate(outcomes):
@@ -352,6 +330,9 @@ def _run_estimate(config, n, outcomes, geometry, deadline) -> Optional[dict]:
             outcome.errors[key] = err
             continue
         round2 = second.get(i)
+        if round2 is not None and round2[2] is not None:
+            outcome.errors[key] = round2[2]
+            continue
         if round2 is not None:
             outcome.values[key] = round2[0]
         else:

@@ -418,8 +418,7 @@ class TestRoundingContract:
 # 8. reproducibility
 
 
-def test_json_reports_are_byte_identical(capsys, monkeypatch):
-    monkeypatch.delenv("VOLCOUNT_THREADS", raising=False)
+def test_json_reports_are_byte_identical(capsys):
     args = ["-P", "-V", "-L", "-w=0", "--seed=11", "--json",
             str(FIXTURES / "f1.vs")]
     assert main(args) == 0

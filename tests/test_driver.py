@@ -1,4 +1,4 @@
-"""Driver orchestration: two-round planning, totals, reports, threading."""
+"""Driver orchestration: two-round planning, totals, reports, determinism."""
 import json
 import math
 from pathlib import Path
@@ -10,7 +10,8 @@ from volcount.driver import (
     run,
     two_round_sizes,
 )
-from volcount.errors import ParseError
+from volcount import estimate as est_mod
+from volcount.errors import NumericalError, ParseError
 from volcount.model import Backend, Formula, NumericKind, SolverConfig
 
 from oracles import formula_solution_count, ineq
@@ -195,6 +196,30 @@ class TestBackendErrors:
         }
         assert report.has_backend_error
 
+    def test_round_two_error_stays_with_its_bunch(self, monkeypatch):
+        real = est_mod.estimate_volume
+
+        def fail_round_two(*args, **kwargs):
+            if kwargs["stream"] == 1:
+                raise NumericalError("walk escaped its phase ball")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(est_mod, "estimate_volume", fail_round_two)
+        config = SolverConfig(
+            word_length=4, backends=ALL_BACKENDS, min_coeff=5, max_coeff=20
+        )
+        report = run(config, slab_formula())
+        assert len(report.bunches) == 3
+        failed = [o for o in report.bunches if "estimate" in o.errors]
+        assert failed
+        for outcome in failed:
+            assert outcome.errors["estimate"] == "walk escaped its phase ball"
+            assert "estimate" not in outcome.values
+        assert report.totals["estimate"] is None
+        assert report.totals["integer_count"] == 16
+        assert report.totals["exact_volume"] == pytest.approx(15.0, rel=1e-9)
+        json.loads(report.to_json())
+
 
 class TestFrequency:
     def test_count_over_cells(self):
@@ -241,23 +266,10 @@ class TestDeterminismAndThreads:
             seed=42,
         )
 
-    def test_rerun_is_byte_identical(self, monkeypatch):
-        monkeypatch.delenv("VOLCOUNT_THREADS", raising=False)
+    def test_rerun_is_byte_identical(self):
         first = run(self.config(), slab_formula(), input_name="slabs").to_json()
         second = run(self.config(), slab_formula(), input_name="slabs").to_json()
         assert first == second
-
-    def test_thread_pool_matches_sequential(self, monkeypatch):
-        monkeypatch.delenv("VOLCOUNT_THREADS", raising=False)
-        sequential = run(self.config(), slab_formula(), input_name="slabs").to_json()
-        monkeypatch.setenv("VOLCOUNT_THREADS", "4")
-        threaded = run(self.config(), slab_formula(), input_name="slabs").to_json()
-        assert sequential == threaded
-
-    def test_garbage_thread_setting_is_ignored(self, monkeypatch):
-        monkeypatch.setenv("VOLCOUNT_THREADS", "lots")
-        report = run(self.config(), slab_formula())
-        assert report.totals["integer_count"] == 16
 
 
 class TestLoadFormula:

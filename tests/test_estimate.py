@@ -8,16 +8,16 @@ from scipy.optimize import linprog
 
 from volcount.errors import UnboundedError
 from volcount.estimate import (
+    CHAINS,
+    Chains,
     Ellipsoid,
     RoundedPolytope,
     estimate_volume,
-    hit_and_run_step,
     phase_count,
     phase_index,
     round_polytope,
     shallow_cut_update,
     unit_ball_log_volume,
-    unit_ball_volume,
 )
 from volcount.exact import exact_volume
 from volcount.model import make_polytope
@@ -66,7 +66,7 @@ def random_full_dim(rng, n, extra_rows):
 class TestUnitBall:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_gamma_form(self, n):
-        assert unit_ball_volume(n) == pytest.approx(ball_volume(n), rel=1e-12)
+        assert math.exp(unit_ball_log_volume(n)) == pytest.approx(ball_volume(n), rel=1e-12)
 
     def test_log_form_handles_high_dimension(self):
         assert math.isfinite(unit_ball_log_volume(400))
@@ -177,11 +177,12 @@ class TestWalk:
             log_scale=0.0,
         )
         rng = np.random.default_rng(42)
-        x = np.zeros(2)
-        pts = np.empty((100_000, 2))
+        chains = Chains(q, CHAINS)
+        pts = np.empty((100_000 // CHAINS, CHAINS, 2))
         for i in range(len(pts)):
-            x = hit_and_run_step(x, q, 10.0, rng)
-            pts[i] = x
+            chains.step(10.0, rng)
+            pts[i] = chains.x
+        pts = pts.reshape(-1, 2)
         assert np.abs(pts.mean(axis=0)).max() < 0.02
         assert pts.var(axis=0) == pytest.approx([1 / 3, 1 / 3], rel=0.1)
         assert np.abs(pts).max() <= 1.0 + 1e-12
@@ -189,10 +190,10 @@ class TestWalk:
     def test_ball_radius_binds(self):
         q = ball_shaped(2, 0)  # unit ball, no rows
         rng = np.random.default_rng(7)
-        x = np.zeros(2)
+        chains = Chains(q, CHAINS)
         for _ in range(2000):
-            x = hit_and_run_step(x, q, 1.0, rng)
-            assert float(x @ x) <= 1.0 + 1e-12
+            chains.step(1.0, rng)
+            assert np.all(np.einsum("ij,ij->i", chains.x, chains.x) <= 1.0 + 1e-12)
 
     def test_degenerate_chord_returns_same_point(self):
         q = RoundedPolytope(
@@ -203,8 +204,11 @@ class TestWalk:
             log_scale=0.0,
         )
         rng = np.random.default_rng(0)
-        x = np.zeros(2)
-        moved = [float(hit_and_run_step(x, q, 10.0, rng)[0]) for _ in range(20)]
+        chains = Chains(q, CHAINS)
+        moved = []
+        for _ in range(20):
+            chains.step(10.0, rng)
+            moved.extend(chains.x[:, 0].tolist())
         assert all(v == 0.0 for v in moved)
 
 
@@ -228,6 +232,20 @@ class TestEstimate:
         )
         result = estimate_volume(q, 500, seed=3)
         assert result.volume == pytest.approx(2.0, rel=1e-9)
+
+    def test_one_dim_interval_clipped_by_ball(self):
+        # [-1, 3] clipped to B(0, 2) is [-1, 2]: length 3, times exp(log_scale) = 2
+        q = RoundedPolytope(
+            a=np.array([[1.0], [-1.0]]),
+            b=np.array([3.0, 1.0]),
+            n=1,
+            r=2.0,
+            log_scale=math.log(2.0),
+        )
+        result = estimate_volume(q, 500, seed=3)
+        assert result.volume == pytest.approx(6.0, rel=1e-12)
+        assert result.ledger.ratios == pytest.approx([1.5], rel=1e-12)
+        assert result.ledger.fresh_total == 0
 
     def test_ratios_at_least_one(self):
         rng = np.random.default_rng(9)
@@ -281,5 +299,5 @@ class TestEstimate:
     def test_volume_identity_with_ledger(self):
         q = ball_shaped(4, 4)
         result = estimate_volume(q, 400, seed=11)
-        recomputed = unit_ball_volume(4) * float(np.prod(result.ledger.ratios)) * math.exp(q.log_scale)
+        recomputed = math.exp(unit_ball_log_volume(4)) * float(np.prod(result.ledger.ratios)) * math.exp(q.log_scale)
         assert result.volume == pytest.approx(recomputed, rel=1e-12)

@@ -1,17 +1,28 @@
 """Exact integer-point counting for conjunctions of linear constraints.
 
 The core works on integer rows ``a . x <= b`` (strict and equality rows are
-rewritten exactly up front) and alternates three exact reductions:
+rewritten exactly up front) and integer disequalities ``a . x != b``.  It
+alternates three exact reductions:
 
 * interval propagation to a fixpoint — single-variable rows pin or tighten a
   variable exactly; rows satisfied over the whole current box drop out;
-* connected-component split — variables not linked by any remaining row
-  contribute independent factors that multiply;
+* connected-component split — variables not linked by any remaining row or
+  disequality contribute independent factors that multiply;
 * branching on the narrowest bounded variable, with LP-derived integer
   bounds as a fallback when propagation leaves a variable unbounded.
 
-Deferred disequalities are resolved by inclusion–exclusion:
-count(P, neq rest) = count(P, rest) - count(P ∩ {equality}, rest).
+Each component's count is cached on its rows, disequalities and variable
+intervals, in one memo per ``count_integer_points`` call, so a subproblem
+reached along several branches is counted once.
+
+Disequalities are resolved lazily.  Pinned and branched values are
+substituted into them as into rows; one that can no longer be met (its gcd
+does not divide its right-hand side, or its range over the current box
+misses it) drops out, and one that is met by every point fails the branch.
+A disequality left with one variable is a hole in that variable's
+interval: a hole at an endpoint tightens the interval, a hole inside it is
+skipped when the variable is branched on, and a block with no rows counts
+its width minus its holes.
 """
 from __future__ import annotations
 
@@ -41,6 +52,11 @@ def count_integer_points(
     """Number of integer points satisfying every row of ``p`` and every
     disequality in ``deferred_neqs``.
 
+    Rows and disequalities are scaled to integers and handed to the
+    propagate / split / branch core together; disequalities are never
+    expanded into equality sub-problems.  Component counts are cached for
+    the duration of this call only.
+
     Raises UnboundedError when the count would be infinite (some variable
     runs free), so callers must box the variables first unless the
     constraints themselves bound everything.
@@ -50,80 +66,78 @@ def count_integer_points(
     if p.n == 0:
         return 1
 
-    rows: list[tuple[tuple[int, ...], int]] = []
+    rows: list[tuple[dict, int]] = []
     for row in p.rows:
         coeffs, rhs = _integer_row(row.coeffs, row.rhs)
         if row.kind is RowKind.LE_STRICT:
             rhs = int(strict_to_closed(Fraction(rhs)))
-            rows.append((coeffs, rhs))
-        elif row.kind is RowKind.EQ:
-            rows.append((coeffs, rhs))
-            rows.append((tuple(-c for c in coeffs), -rhs))
-        else:
-            rows.append((coeffs, rhs))
+        rows.append((coeffs, rhs))
+        if row.kind is RowKind.EQ:
+            rows.append(({v: -c for v, c in coeffs.items()}, -rhs))
 
-    neqs: list[tuple[tuple[int, ...], int]] = []
+    neqs: list[tuple[dict, int]] = []
     for c in deferred_neqs:
         if c.op is not Cmp.EQ:
             raise ValueError("deferred constraints must be equalities")
         neqs.append(_integer_row(c.coeffs, c.rhs))
 
-    return _count_with_neqs(rows, neqs, p.n, deadline)
+    intervals = {j: (None, None) for j in range(p.n)}
+    return _count_core(rows, intervals, neqs, {}, deadline)
 
 
-def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
+def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[dict, int]:
+    """Scale a rational row to integers; the coefficients come back as a
+    {variable: nonzero coefficient} dict."""
     denom = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    return tuple(int(c * denom) for c in coeffs), int(rhs * denom)
+    return {j: int(c * denom) for j, c in enumerate(coeffs) if c != 0}, int(rhs * denom)
 
 
-def _count_with_neqs(rows, neqs, n: int, deadline) -> int:
-    """Inclusion–exclusion over the disequalities."""
-    if not neqs:
-        intervals = {j: (None, None) for j in range(n)}
-        return _count_core(rows, intervals, deadline)
-    (coeffs, rhs), rest = neqs[0], neqs[1:]
-    # A disequality a.x != rhs over an all-zero row is either always true or
-    # always false; handle it without recursion.
-    if all(c == 0 for c in coeffs):
-        if rhs == 0:
-            return 0
-        return _count_with_neqs(rows, rest, n, deadline)
-    total = _count_with_neqs(rows, rest, n, deadline)
-    pinned = rows + [(coeffs, rhs), (tuple(-c for c in coeffs), -rhs)]
-    return total - _count_with_neqs(pinned, rest, n, deadline)
-
-
-def _count_core(rows, intervals, deadline) -> int:
-    """Count integer points of ``rows`` with variables limited to
-    ``intervals`` (endpoints may be None for unbounded)."""
+def _count_core(rows, intervals, neqs, memo, deadline) -> int:
+    """Count integer points of ``rows`` and ``neqs`` with variables limited
+    to ``intervals`` (endpoints may be None for unbounded)."""
     check_deadline(deadline)
-    state = _propagate(rows, intervals)
+    state = _propagate(rows, intervals, neqs)
     if state is None:
         return 0
-    rows, intervals = state
+    rows, intervals, neqs = state
 
-    if not intervals:
-        return 1
+    if not rows and not neqs:
+        return _free_block(intervals, intervals, ())
 
     total = 1
-    for var_group, row_group in _components(rows, intervals):
-        sub_intervals = {v: intervals[v] for v in var_group}
-        if not row_group:
-            # Unconstrained block: every variable contributes its width.
-            for v, (lo, hi) in sub_intervals.items():
-                if lo is None or hi is None:
-                    raise UnboundedError("cannot count an infinite set")
-                total *= hi - lo + 1
+    for var_group, row_group, neq_group in _components(rows, intervals, neqs):
+        if not row_group and all(len(coeffs) == 1 for coeffs, _ in neq_group):
+            total *= _free_block(var_group, intervals, neq_group)
             continue
-        total *= _branch(row_group, sub_intervals, deadline)
+        sub_intervals = {v: intervals[v] for v in var_group}
+        total *= _branch(row_group, sub_intervals, neq_group, memo, deadline)
         if total == 0:
             # Other components cannot rescue a zero factor.
             return 0
     return total
 
 
-def _branch(rows, intervals, deadline) -> int:
-    """Pick the narrowest variable, ground it, recurse."""
+def _free_block(var_group, intervals, holes) -> int:
+    """Integer points of a block no row touches: the product of its widths,
+    less its holes.  Holes link no variables, so a block with holes has a
+    single variable; propagation has already dropped duplicate holes and
+    holes outside or at the ends of the interval."""
+    count = 1
+    for v in var_group:
+        lo, hi = intervals[v]
+        if lo is None or hi is None:
+            raise UnboundedError("cannot count an infinite set")
+        count *= hi - lo + 1
+    return count - len(holes)
+
+
+def _branch(rows, intervals, neqs, memo, deadline) -> int:
+    """Pick the narrowest variable, ground it, recurse.  Results are cached
+    in ``memo`` on the component's rows, disequalities and intervals."""
+    key = _key(rows, neqs, intervals)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     check_deadline(deadline)
     bounded = [
         (hi - lo, v) for v, (lo, hi) in intervals.items() if lo is not None and hi is not None
@@ -135,30 +149,67 @@ def _branch(rows, intervals, deadline) -> int:
         var = min(intervals)
         lo, hi = _lp_bounds(rows, intervals, var)
         if lo is None:
+            memo[key] = 0
             return 0
+
+    # What is left of each row and disequality once ``var`` is fixed; only
+    # the right-hand side depends on the value.  The order of the rows is
+    # kept, so that equal subproblems reached along different branches get
+    # equal cache keys.
+    row_plan = [(coeffs, rhs, _without(coeffs, var)) for coeffs, rhs in rows]
+    neq_plan = [(coeffs, rhs, _without(coeffs, var)) for coeffs, rhs in neqs]
+    sub_intervals = {v: iv for v, iv in intervals.items() if v != var}
 
     total = 0
     for value in range(lo, hi + 1):
-        fixed_rows = []
-        feasible = True
-        for coeffs, rhs in rows:
-            c = coeffs.get(var)
-            if c is None:
-                fixed_rows.append((coeffs, rhs))
-                continue
-            rest = {k: x for k, x in coeffs.items() if k != var}
-            new_rhs = rhs - c * value
-            if not rest:
-                if 0 > new_rhs:
-                    feasible = False
-                    break
-                continue
-            fixed_rows.append((rest, new_rhs))
-        if not feasible:
+        fixed_rows = _fix(row_plan, var, value, True)
+        if fixed_rows is None:
             continue
-        sub_intervals = {v: iv for v, iv in intervals.items() if v != var}
-        total += _count_core(fixed_rows, sub_intervals, deadline)
+        fixed_neqs = _fix(neq_plan, var, value, False) if neqs else neqs
+        if fixed_neqs is None:
+            continue
+        total += _count_core(fixed_rows, sub_intervals, fixed_neqs, memo, deadline)
+    memo[key] = total
     return total
+
+
+def _without(coeffs, var):
+    """``coeffs`` less ``var``, or None when ``var`` does not occur."""
+    if var not in coeffs:
+        return None
+    return {v: c for v, c in coeffs.items() if v != var}
+
+
+def _fix(plan, var, value, is_row):
+    """Substitute ``var = value`` into planned rows (``a.x <= b``) or
+    disequalities (``a.x != b``); None when one of them becomes false."""
+    out = []
+    for coeffs, rhs, rest in plan:
+        if rest is None:
+            out.append((coeffs, rhs))
+            continue
+        rhs -= coeffs[var] * value
+        if rest:
+            out.append((rest, rhs))
+        elif (rhs < 0) if is_row else (rhs == 0):
+            return None
+    return out
+
+
+def _key(rows, neqs, intervals) -> tuple:
+    """Exact cache key of a component as one flat tuple of ints (None for
+    an open interval end): the numbers of rows and disequalities, each row
+    and disequality as its length, its (variable, coefficient) pairs and
+    its right-hand side, then each variable with its interval."""
+    key = [len(rows), len(neqs)]
+    for coeffs, rhs in (*rows, *neqs):
+        key.append(len(coeffs))
+        for item in coeffs.items():
+            key.extend(item)
+        key.append(rhs)
+    for v, (lo, hi) in intervals.items():
+        key.extend((v, lo, hi))
+    return tuple(key)
 
 
 def _lp_bounds(rows, intervals, var):
@@ -188,133 +239,199 @@ def _lp_bounds(rows, intervals, var):
     return bounds
 
 
-
-def _propagate(rows, intervals):
+def _propagate(rows, intervals, neqs):
     """Exact interval propagation to a fixpoint.
 
-    Rows are kept as (coeff dict, rhs).  Returns (active rows, intervals of
-    still-free variables) or None when some row or interval is impossible.
-    Fixed variables are substituted into the rows and removed.
+    Rows and disequalities are (coeff dict, rhs) pairs; the dicts are
+    shared, never changed.  Returns (active rows, intervals of still-free
+    variables, active disequalities) or None when some row, disequality
+    or interval is impossible.  Fixed variables are substituted into the
+    rows and disequalities and removed.
     """
-    work: list[tuple[dict, int]] = []
-    for coeffs, rhs in rows:
-        if isinstance(coeffs, dict):
-            cd = {v: c for v, c in coeffs.items() if c != 0}
-        else:
-            cd = {v: c for v, c in enumerate(coeffs) if c != 0}
-        work.append((cd, rhs))
     ivs = dict(intervals)
-
-    changed = True
-    rounds = 0
-    max_rounds = 8 * (len(ivs) + 2)
-    while changed and rounds < max_rounds:
-        changed = False
-        rounds += 1
-        next_work = []
-        for coeffs, rhs in work:
-            if not coeffs:
-                if 0 > rhs:
-                    return None
-                continue
-            # Row-wide minimum of a.x given current intervals, tracking
-            # whether it is finite.
-            lo_sum = 0
-            lo_finite = True
-            for v, c in coeffs.items():
-                lo, hi = ivs[v]
-                end = lo if c > 0 else hi
-                if end is None:
-                    lo_finite = False
-                    break
-                lo_sum += c * end
-            # Satisfied-everywhere test needs the row maximum.
-            hi_sum = 0
-            hi_finite = True
-            for v, c in coeffs.items():
-                lo, hi = ivs[v]
-                end = hi if c > 0 else lo
-                if end is None:
-                    hi_finite = False
-                    break
-                hi_sum += c * end
-            if hi_finite and hi_sum <= rhs:
-                changed = True  # row drops out
-                continue
-            if lo_finite and lo_sum > rhs:
-                return None
-            for v, c in coeffs.items():
-                lo, hi = ivs[v]
-                end = lo if c > 0 else hi
-                if lo_finite:
-                    rest = lo_sum - c * end
-                elif not _rest_finite(coeffs, ivs, v):
+    pinned: dict = {}
+    while True:
+        changed = True
+        rounds = 0
+        max_rounds = 8 * (len(ivs) + 2)
+        while changed and rounds < max_rounds:
+            changed = False
+            rounds += 1
+            next_rows = []
+            for coeffs, rhs in rows:
+                if not coeffs:
+                    if 0 > rhs:
+                        return None
                     continue
-                else:
-                    rest = _rest_min(coeffs, ivs, v)
-                bound = rhs - rest
-                if c > 0:
-                    new_hi = bound // c
-                    if hi is None or new_hi < hi:
-                        hi = new_hi
-                        changed = True
-                else:
-                    new_lo = -((-bound) // c)
-                    if lo is None or new_lo > lo:
-                        lo = new_lo
-                        changed = True
-                if lo is not None and hi is not None and lo > hi:
+                # Row-wide minimum and maximum of a.x over the current box,
+                # each as a finite sum plus the number of open ends in it.
+                lo_sum = hi_sum = 0
+                lo_open = hi_open = 0
+                for v, c in coeffs.items():
+                    if c > 0:
+                        mn, mx = ivs[v]
+                    else:
+                        mx, mn = ivs[v]
+                    if mn is None:
+                        lo_open += 1
+                    else:
+                        lo_sum += c * mn
+                    if mx is None:
+                        hi_open += 1
+                    else:
+                        hi_sum += c * mx
+                if not hi_open and hi_sum <= rhs:
+                    changed = True  # row drops out
+                    continue
+                if not lo_open and lo_sum > rhs:
                     return None
-                ivs[v] = (lo, hi)
-            next_work.append((coeffs, rhs))
-        work = next_work
-
-        # Substitute pinned variables away.
-        pinned = {v: lo for v, (lo, hi) in ivs.items() if lo is not None and lo == hi}
-        if pinned:
-            changed = True
-            for v in pinned:
-                del ivs[v]
-            substituted = []
-            for coeffs, rhs in work:
-                inside = [v for v in coeffs if v in pinned]
-                if inside:
-                    rhs = rhs - sum(coeffs[v] * pinned[v] for v in inside)
-                    coeffs = {v: c for v, c in coeffs.items() if v not in pinned}
-                    if not coeffs:
-                        if 0 > rhs:
-                            return None
+                if lo_open > 1:
+                    next_rows.append((coeffs, rhs))
+                    continue
+                for v, c in coeffs.items():
+                    lo, hi = ivs[v]
+                    end = lo if c > 0 else hi
+                    # Minimum of the rest of the row: finite when no end is
+                    # open, or when this variable's end is the one open end.
+                    if not lo_open:
+                        rest = lo_sum - c * end
+                    elif end is None:
+                        rest = lo_sum
+                    else:
                         continue
-                substituted.append((coeffs, rhs))
-            work = substituted
+                    bound = rhs - rest
+                    if c > 0:
+                        new_hi = bound // c
+                        if hi is not None and new_hi >= hi:
+                            continue
+                        hi = new_hi
+                    else:
+                        new_lo = -((-bound) // c)
+                        if lo is not None and new_lo <= lo:
+                            continue
+                        lo = new_lo
+                    changed = True
+                    if lo is not None and hi is not None:
+                        if lo > hi:
+                            return None
+                        if lo == hi:
+                            pinned[v] = lo
+                    ivs[v] = (lo, hi)
+                next_rows.append((coeffs, rhs))
+            rows = next_rows
 
-    return work, ivs
+            # Substitute pinned variables away.
+            if pinned:
+                changed = True
+                for v in pinned:
+                    del ivs[v]
+                rows = _substitute(rows, pinned, True)
+                if rows is None:
+                    return None
+                if neqs:
+                    neqs = _substitute(neqs, pinned, False)
+                    if neqs is None:
+                        return None
+                pinned = {}
+
+        if not neqs:
+            return rows, ivs, neqs
+        state = _resolve_neqs(neqs, ivs, pinned)
+        if state is None:
+            return None
+        neqs, tightened = state
+        if not tightened:
+            return rows, ivs, neqs
+        # A hole at an interval end moved the end: propagate the rows again.
 
 
-def _rest_min(coeffs, ivs, skip):
-    total = 0
-    for v, c in coeffs.items():
-        if v == skip:
+def _substitute(items, pinned, is_row):
+    """Substitute pinned values into rows (``a.x <= b``) or disequalities
+    (``a.x != b``), dropping those left without variables; None when one
+    of those is false."""
+    out = []
+    for coeffs, rhs in items:
+        inside = [v for v in coeffs if v in pinned]
+        if inside:
+            rhs = rhs - sum(coeffs[v] * pinned[v] for v in inside)
+            coeffs = {v: c for v, c in coeffs.items() if v not in pinned}
+            if not coeffs:
+                if (rhs < 0) if is_row else (rhs == 0):
+                    return None
+                continue
+        out.append((coeffs, rhs))
+    return out
+
+
+def _resolve_neqs(neqs, ivs, pinned):
+    """One pass over the disequalities against the current intervals.
+
+    Drops those no point of the box can violate, turns single-variable ones
+    into holes ``({v: 1}, value)`` strictly inside their interval and moves
+    interval ends off holes, recording newly fixed variables in ``pinned``.
+    Returns (disequalities, whether an interval moved), or None when some
+    interval empties or a disequality holds at no point.
+    """
+    kept = []
+    holes: dict = {}
+    for coeffs, rhs in neqs:
+        if not coeffs:
+            if rhs == 0:
+                return None
             continue
-        lo, hi = ivs[v]
-        total += c * (lo if c > 0 else hi)
-    return total
-
-
-def _rest_finite(coeffs, ivs, skip) -> bool:
-    for v, c in coeffs.items():
-        if v == skip:
+        if rhs % math.gcd(*coeffs.values()):
+            continue  # a.x never reaches rhs on the lattice
+        if len(coeffs) == 1:
+            ((v, c),) = coeffs.items()
+            lo, hi = ivs[v]
+            value = rhs // c
+            if (lo is None or lo <= value) and (hi is None or value <= hi):
+                holes.setdefault(v, set()).add(value)
             continue
+        lo_sum = hi_sum = 0
+        lo_open = hi_open = False
+        for v, c in coeffs.items():
+            if c > 0:
+                mn, mx = ivs[v]
+            else:
+                mx, mn = ivs[v]
+            if mn is None:
+                lo_open = True
+            else:
+                lo_sum += c * mn
+            if mx is None:
+                hi_open = True
+            else:
+                hi_sum += c * mx
+        if (lo_open or lo_sum <= rhs) and (hi_open or rhs <= hi_sum):
+            kept.append((coeffs, rhs))
+
+    tightened = False
+    for v, values in holes.items():
         lo, hi = ivs[v]
-        end = lo if c > 0 else hi
-        if end is None:
-            return False
-    return True
+        start = (lo, hi)
+        while lo is not None and lo in values:
+            values.discard(lo)
+            lo += 1
+        while hi is not None and hi in values:
+            values.discard(hi)
+            hi -= 1
+        if (lo, hi) != start:
+            if lo is not None and hi is not None:
+                if lo > hi:
+                    return None
+                if lo == hi:
+                    pinned[v] = lo
+            ivs[v] = (lo, hi)
+            tightened = True
+        kept.extend(({v: 1}, value) for value in sorted(values))
+    return kept, tightened
 
 
-def _components(rows, intervals):
-    """Split variables into groups connected through shared rows; each group
-    comes with the rows touching it."""
+def _components(rows, intervals, neqs):
+    """Split variables into groups connected through shared rows and
+    disequalities; each group comes with the rows and disequalities
+    touching it."""
     parent = {v: v for v in intervals}
 
     def find(x):
@@ -332,13 +449,19 @@ def _components(rows, intervals):
         vs = list(coeffs)
         for v in vs[1:]:
             union(vs[0], v)
+    for coeffs, _ in neqs:
+        vs = list(coeffs)
+        for v in vs[1:]:
+            union(vs[0], v)
 
     groups: dict = {}
     for v in intervals:
         groups.setdefault(find(v), []).append(v)
     row_groups: dict = {r: [] for r in groups}
     for coeffs, rhs in rows:
-        if coeffs:
-            row_groups[find(next(iter(coeffs)))].append((coeffs, rhs))
+        row_groups[find(next(iter(coeffs)))].append((coeffs, rhs))
+    neq_groups: dict = {r: [] for r in groups} if neqs else None
+    for coeffs, rhs in neqs:
+        neq_groups[find(next(iter(coeffs)))].append((coeffs, rhs))
     for root, vs in sorted(groups.items()):
-        yield sorted(vs), row_groups[root]
+        yield sorted(vs), row_groups[root], neq_groups[root] if neqs else ()

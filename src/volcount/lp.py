@@ -252,17 +252,6 @@ def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:
     return res.point[: p.n], float(res.point[p.n])
 
 
-def interior_point(p: Polytope) -> Optional[np.ndarray]:
-    """A point well inside the polytope, or None when the interior is
-    (numerically) empty — flat bodies and empty bodies both land there."""
-    if p.contradictory:
-        return None
-    center, rho = chebyshev_center(p)
-    if rho <= FLATNESS_TOL:
-        return None
-    return center
-
-
 def integer_bounds(p: Polytope, j: int) -> Optional[tuple[int, int]]:
     """Integer range [ceil(min x_j), floor(max x_j)] over the closure.
 

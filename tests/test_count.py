@@ -153,3 +153,55 @@ class TestGridOracle:
             rows.append(ineq([c], Fraction(data.draw(st.integers(-60, 60)), data.draw(st.integers(1, 4))), op))
         p = poly(rows, 1)
         assert count_integer_points(p) == grid_count(p, lo, hi)
+
+
+class TestLazyDisequalities:
+    def test_graph_four_colouring_matches_grid(self):
+        # Turan graph T(7, 4): K7 less three disjoint edges, 18 edges, the
+        # most a 4-colourable graph on 7 vertices has.
+        missing = {(0, 1), (2, 3), (4, 5)}
+        edges = [(i, j) for i in range(7) for j in range(i + 1, 7) if (i, j) not in missing]
+        assert len(edges) >= 18
+        p = poly(box(7, 0, 3), 7)
+        neqs = []
+        for i, j in edges:
+            coeffs = [0] * 7
+            coeffs[i], coeffs[j] = 1, -1
+            neqs.append(ineq(coeffs, 0, Cmp.EQ))
+        got = count_integer_points(p, tuple(neqs))
+        assert got > 0
+        # The grid is the box itself, so the oracle need not re-check it.
+        assert got == grid_count(make_polytope([], 7), 0, 3, tuple(neqs))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_difference_chains_with_neqs_match_grid(self, data):
+        n = data.draw(st.integers(1, 3))
+        lo = data.draw(st.integers(-6, 0))
+        hi = data.draw(st.integers(0, 6))
+        rows = box(n, lo, hi)
+        # x_i - x_j < c chains: many branches reach the same subproblem
+        for _ in range(data.draw(st.integers(0, 4)) if n > 1 else 0):
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            coeffs = [0] * n
+            coeffs[i], coeffs[j] = 1, -1
+            op = data.draw(st.sampled_from([Cmp.LE, Cmp.LT]))
+            rows.append(ineq(coeffs, data.draw(st.integers(-4, 6)), op))
+        for _ in range(data.draw(st.integers(0, 2))):
+            coeffs = [data.draw(st.integers(-3, 3)) for _ in range(n)]
+            if all(c == 0 for c in coeffs):
+                coeffs[0] = 1
+            rows.append(ineq(coeffs, data.draw(st.integers(-8, 8))))
+        neqs = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            coeffs = [data.draw(st.integers(-3, 3)) for _ in range(n)]
+            neqs.append(ineq(coeffs, data.draw(st.integers(-6, 6)), Cmp.EQ))
+        p = poly(rows, n)
+        got = count_integer_points(p, tuple(neqs))
+        assert got == grid_count(p, lo, hi, tuple(neqs))
+
+    def test_diagonal_is_unbounded_with_a_neq(self):
+        # x = y leaves the diagonal infinite; a disequality cannot bound it
+        p = poly([ineq([1, -1], 0), ineq([-1, 1], 0)], 2)
+        with pytest.raises(UnboundedError):
+            count_integer_points(p, (ineq([1, 0], 3, Cmp.EQ),))

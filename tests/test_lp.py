@@ -9,14 +9,13 @@ from volcount.lp import (
     LpStatus,
     chebyshev_center,
     integer_bounds,
-    interior_point,
     lp_feasible,
     lp_optimize,
     simplex_max,
 )
 from volcount.model import Cmp, RowKind, make_polytope
 
-from oracles import cube, ineq, poly, simplex
+from oracles import cube, ineq, poly
 
 
 class TestSimplexMax:
@@ -106,14 +105,6 @@ class TestPolytopeHelpers:
         flat = poly([ineq([1, 0], 0), ineq([-1, 0], 0), ineq([0, 1], 1), ineq([0, -1], 1)], 2)
         _, rho = chebyshev_center(flat)
         assert abs(rho) <= 1e-7
-        assert interior_point(flat) is None
-
-    def test_interior_point_respects_rows(self):
-        p = simplex(3)
-        x = interior_point(p)
-        assert x is not None
-        a, b = p.inequality_arrays()
-        assert np.all(a @ x < b)
 
     def test_equality_row_forces_flatness(self):
         c = ineq([1, 1], 2, Cmp.EQ)

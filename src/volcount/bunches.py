@@ -4,11 +4,21 @@ that jointly cover every theory-consistent model of the CNF skeleton.
 The search is a chronological DPLL over all solutions: decide unassigned
 variables in ascending index order (trying False first), propagate with
 two-watched-literal lists, and on each total assignment consult the linear
-arithmetic theory.  Theory conflicts block a shrunk inconsistent core;
-consistent assignments are greedily minimized, emitted as a bunch, and
-blocked so the search moves on.  Blocking clauses are added to the clause
-database mid-search, which chronological backtracking handles by unwinding
-decisions until the new clause is no longer falsified.
+arithmetic theory.  Consistent assignments are greedily minimized, emitted
+as a bunch, and blocked so the search moves on.  Blocking clauses are added
+to the clause database mid-search: the new clause is falsified when it
+arrives, so chronological backtracking unwinds decisions until it no longer
+is, then propagates it if it has become unit.
+
+Theory conflicts block an irreducible inconsistent core.  The feasibility
+LP that finds the conflict also returns a Farkas certificate (the phase-1
+duals, see :mod:`volcount.lp`); the literals whose rows carry a positive
+multiplier are already inconsistent, so the core is shrunk by deletion
+inside that support only, one LP per support literal instead of one per
+literal.  When the certificate is missing or its support checks out
+feasible, deletion runs over every literal, which is always correct.  The
+float rows of every atom, in both polarities, and of the word-length box
+are built once per enumeration.
 
 Disjointness of emitted bunches comes from the blocking clauses: any later
 model disagrees with each earlier bunch on at least one pinned literal.
@@ -16,57 +26,117 @@ Coverage comes from exhausting the decision tree.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import check_deadline
 from .lp import LpStatus, lp_feasible
-from .model import (
-    Bunch,
-    Formula,
-    SolverConfig,
-    box_constraints,
-    literal_row,
-    make_polytope,
-)
+from .model import Bunch, Formula, RowKind, SolverConfig, box_constraints, literal_row
+
+Literal = tuple[int, bool]
+
+# A certificate multiplier counts as positive above this fraction of the
+# largest one (multipliers weighted by the largest coefficient of their row).
+SUPPORT_TOL = 1e-9
 
 
-def theory_check(
-    literals: Sequence[tuple[int, bool]],
-    formula: Formula,
-    config: SolverConfig,
-) -> Optional[list[tuple[int, bool]]]:
+class TheoryRows:
+    """Float rows of every theory literal and of the word-length box.
+
+    Each atom contributes one row per polarity: an inequality, an equality,
+    or nothing (a negated equality, which carves out a measure-zero set and
+    is never part of a conflict, or a constant row that always holds).  A
+    constant row that never holds becomes ``0 <= -1``.  Strict rows are
+    read as their closures.
+    """
+
+    def __init__(self, formula: Formula, config: SolverConfig):
+        n = formula.num_numeric_vars
+        rows: list[list[float]] = []
+        self.rhs: list[float] = []
+        self.owner: list[Optional[Literal]] = []  # row -> its literal; None for the box
+        self.ub_of: dict[Literal, int] = {}
+        self.eq_of: dict[Literal, int] = {}
+        for var in sorted(formula.atom_map):
+            for polarity in (False, True):
+                shaped = literal_row(formula.atom_map[var], polarity)
+                if shaped[0] == "neq" or shaped[1].is_tautology:
+                    continue
+                constraint = shaped[1]
+                where = self.eq_of if shaped[2] is RowKind.EQ else self.ub_of
+                where[(var, polarity)] = len(rows)
+                self.owner.append((var, polarity))
+                if constraint.is_contradiction and where is self.ub_of:
+                    rows.append([0.0] * n)
+                    self.rhs.append(-1.0)
+                else:
+                    rows.append([float(c) for c in constraint.coeffs])
+                    self.rhs.append(float(constraint.rhs))
+        box_start = len(rows)
+        for constraint, _ in box_constraints(n, config.word_length):
+            rows.append([float(c) for c in constraint.coeffs])
+            self.rhs.append(float(constraint.rhs))
+            self.owner.append(None)
+        self.box = list(range(box_start, len(rows)))
+        directions: dict[tuple[float, ...], int] = {}
+        self.direction = [directions.setdefault(tuple(row), len(directions)) for row in rows]
+        self.a = np.array(rows, dtype=float).reshape(len(rows), n)
+        self.b = np.array(self.rhs, dtype=float)
+        self.weight = np.abs(self.a).max(axis=1, initial=0.0)
+        self.weight[self.weight == 0.0] = 1.0
+
+    def check(self, literals: Sequence[Literal]) -> tuple[bool, Optional[list[Literal]]]:
+        """Whether the literals are consistent inside the box.  When they are
+        not, also the sorted literals whose rows carry a positive Farkas
+        multiplier (None when the LP gave no certificate).
+
+        Of several inequality rows with the same coefficients only the
+        tightest enters the LP, so the certificate names the binding one."""
+        tightest: dict[int, int] = {}  # direction -> row, in order of first use
+        for r in [self.ub_of[lit] for lit in literals if lit in self.ub_of] + self.box:
+            best = tightest.get(self.direction[r])
+            if best is None or self.rhs[r] < self.rhs[best]:
+                tightest[self.direction[r]] = r
+        ub = list(tightest.values())
+        eq = [self.eq_of[lit] for lit in literals if lit in self.eq_of]
+        res = lp_feasible(self.a[ub], self.b[ub], self.a[eq], self.b[eq])
+        if res.status is LpStatus.OPTIMAL:
+            return True, None
+        if res.certificate is None:
+            return False, None
+        rows = ub + eq
+        w = np.abs(res.certificate) * self.weight[rows]
+        cut = SUPPORT_TOL * float(w.max(initial=0.0))
+        owners = (self.owner[r] for r in rows)
+        return False, sorted(lit for lit, wi in zip(owners, w) if lit is not None and wi > cut)
+
+
+def theory_check(literals: Sequence[Literal], rows: TheoryRows) -> Optional[list[Literal]]:
     """Check whether the theory literals are jointly satisfiable inside the
-    word-length box.  Returns None when consistent, otherwise a shrunk
-    inconsistent core (a sublist of the input, still inconsistent).
+    word-length box.  Returns None when consistent, otherwise an irreducible
+    inconsistent core: a sublist of the input that is inconsistent and
+    becomes consistent when any one literal is dropped.
 
-    Negated equalities carve out measure-zero sets; they are never part of a
-    conflict and are ignored here.
+    The core comes from deletion over the support of the Farkas certificate
+    of the failed LP, after one LP confirms that the support alone is
+    inconsistent.  Without a certificate, or with a support that checks out
+    consistent, deletion runs over every literal.  Negated equalities carve
+    out measure-zero sets; they are never part of a conflict.
     """
     ordered = sorted(literals)
-    if _feasible(ordered, formula, config):
+    consistent, support = rows.check(ordered)
+    if consistent:
         return None
-    core = list(ordered)
-    for lit in ordered:
+    candidates = ordered
+    if support is not None and (len(support) == len(ordered) or not rows.check(support)[0]):
+        candidates = support
+    core = list(candidates)
+    for lit in candidates:
         trial = [x for x in core if x != lit]
-        if len(trial) < len(core) and not _feasible(trial, formula, config):
+        if not rows.check(trial)[0]:
             core = trial
     return core
-
-
-def _feasible(literals: Sequence[tuple[int, bool]], formula: Formula, config: SolverConfig) -> bool:
-    items = []
-    for var, value in literals:
-        constraint = formula.atom_map.get(var)
-        if constraint is None:
-            continue
-        shaped = literal_row(constraint, value)
-        if shaped[0] == "row":
-            items.append((shaped[1], shaped[2]))
-    items.extend(box_constraints(formula.num_numeric_vars, config.word_length))
-    poly = make_polytope(items, formula.num_numeric_vars)
-    if poly.contradictory:
-        return False
-    return lp_feasible(poly).status is LpStatus.OPTIMAL
 
 
 def minimize_assignment(
@@ -124,6 +194,7 @@ class _Enumerator:
         self.decisions: list[tuple[int, int, bool]] = []  # (trail length, var, flipped)
         self.root_units: list[int] = []
         self.unsat = False
+        self.theory = TheoryRows(formula, config)
         for clause in formula.clauses:
             self._install_clause(list(clause))
 
@@ -176,19 +247,6 @@ class _Enumerator:
         self.watches.append((w1, w2))
         self.watch_map.setdefault(clause[w1], []).append(ci)
         self.watch_map.setdefault(clause[w2], []).append(ci)
-
-    def _clause_state(self, ci: int) -> str:
-        clause = self.clauses[ci]
-        unassigned = 0
-        for lit in clause:
-            val = self._lit_value(lit)
-            if val:
-                return "sat"
-            if val is None:
-                unassigned += 1
-        if unassigned == 0:
-            return "conflict"
-        return "unit" if unassigned == 1 else "open"
 
     # ---- propagation ----------------------------------------------------
 
@@ -254,41 +312,32 @@ class _Enumerator:
                 return var
         return None
 
-    def _restore_invariants(self) -> bool:
-        """After adding a clause mid-search, unwind until no clause is
-        falsified, replaying unit consequences.  Returns False when the
+    def _restore_invariants(self, clause: list[int]) -> bool:
+        """After adding a clause mid-search, unwind until it is no longer
+        falsified and propagate it if it is unit.  Returns False when the
         search space is exhausted.
 
-        Flips must go through `_recover_from_conflict` so the flipped
-        literal is propagated: an unpropagated flip leaves stale watches
-        behind, and a clause with two stale false watches becomes invisible
-        to unit propagation."""
+        The clause arrives falsified, with its watches on its two most
+        recently assigned literals.  Unwinding frees those first, and from
+        then on propagation tracks the clause like any other.  Flips go
+        through `_recover_from_conflict` so the flipped literal is
+        propagated."""
         while True:
-            status = self._scan_all()
-            if status == "ok":
+            unassigned = []
+            for lit in clause:
+                val = self._lit_value(lit)
+                if val:
+                    return True
+                if val is None:
+                    unassigned.append(lit)
+            if len(unassigned) > 1:
                 return True
+            if len(unassigned) == 1:
+                self._set(unassigned[0])
+                if self._propagate([unassigned[0]]):
+                    return True
             if not self._recover_from_conflict():
                 return False
-
-    def _scan_all(self) -> str:
-        """Full-database scan: propagate every unit clause, report conflicts."""
-        while True:
-            progressed = False
-            for ci in range(len(self.clauses)):
-                state = self._clause_state(ci)
-                if state == "conflict":
-                    return "conflict"
-                if state == "unit":
-                    clause = self.clauses[ci]
-                    for pos, lit in enumerate(clause):
-                        if self._lit_value(lit) is None:
-                            self._set(lit)
-                            if not self._propagate([lit]):
-                                return "conflict"
-                            progressed = True
-                            break
-            if not progressed:
-                return "ok"
 
     def run(self) -> Iterator[Bunch]:
         if self.unsat:
@@ -337,7 +386,7 @@ class _Enumerator:
         (minimized, then blocked) or block the shrunk theory conflict core.
         The boolean says whether the search can continue."""
         theory_lits = [(v, bool(self.assign[v])) for v in sorted(self.formula.atom_map)]
-        core = theory_check(theory_lits, self.formula, self.config)
+        core = theory_check(theory_lits, self.theory)
         bunch: Optional[Bunch] = None
         if core is None:
             total = {v: bool(self.assign[v]) for v in range(1, self.nvars + 1)}
@@ -351,4 +400,4 @@ class _Enumerator:
             # An empty blocking clause: nothing outside this bunch remains.
             return bunch, False
         self._install_clause(block)
-        return bunch, self._restore_invariants()
+        return bunch, self._restore_invariants(block)

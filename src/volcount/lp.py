@@ -4,6 +4,19 @@ Variables are unrestricted in sign (split into positive/negative parts
 internally).  Determinism matters more than speed here: pivoting is Dantzig
 with a Bland fallback after an iteration threshold, ratio-test ties break
 toward the smallest basis column, and everything is plain numpy float64.
+
+Each row is scaled by its largest coefficient max|a| before pivoting (a
+zero row keeps scale 1).  The right-hand side does not enter the scale, so
+a row such as ``x < 2^31`` keeps its coefficient at 1 instead of shrinking
+below the pivot tolerance.  Phase-1 feasibility stays absolute (FEAS_TOL in
+the units of the scaled rows).
+
+When phase 1 ends with artificials left over, :class:`LpResult` carries a
+Farkas certificate: multipliers y, one per input row (inequalities first,
+then equalities), read from the final phase-1 reduced costs of the
+artificial columns with the row flips and scales undone.  y >= 0 on the
+inequality rows, y^T A = 0 up to rounding and y^T b < 0, so the rows with
+nonzero y are by themselves infeasible.
 """
 from __future__ import annotations
 
@@ -15,13 +28,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, UnboundedError
-from .model import Polytope, RowKind
+from .model import Polytope
 
 FEAS_TOL = 1e-7
 RESIDUAL_TOL = 1e-6
 PIVOT_TOL = 1e-9
 FLATNESS_TOL = 1e-7
-_RHO_GUARD = 1e12
 
 
 class LpStatus(Enum):
@@ -35,6 +47,7 @@ class LpResult:
     status: LpStatus
     value: Optional[float] = None
     point: Optional[np.ndarray] = None
+    certificate: Optional[np.ndarray] = None  # Farkas multipliers when infeasible
 
 
 def simplex_max(
@@ -68,11 +81,10 @@ def simplex_max(
     b_all = np.concatenate([b_ub, b_eq])
 
     # Row scaling for conditioning (does not change the feasible set).
-    if m:
-        scales = np.maximum(np.abs(a_all).max(axis=1), np.abs(b_all))
-        scales[scales < 1e-300] = 1.0
-        a_all = a_all / scales[:, None]
-        b_all = b_all / scales
+    scales = np.abs(a_all).max(axis=1)
+    scales[scales < 1e-300] = 1.0
+    a_all = a_all / scales[:, None]
+    b_all = b_all / scales
 
     # Columns: n positive parts, n negative parts, m_ub slacks, m artificials.
     n_struct = 2 * n + m_ub
@@ -96,14 +108,18 @@ def simplex_max(
 
     limit = max(500, 60 * (m + n_cols))
 
-    def run_phase(zrow: np.ndarray, zval: float, allowed: int, use_bland: bool) -> float:
+    def run_phase(
+        zrow: np.ndarray, zval: float, allowed: int, use_bland: bool
+    ) -> tuple[float, np.ndarray]:
+        """Pivot to optimality; return the objective and the final reduced
+        costs (math.inf for the objective when unbounded)."""
         nonlocal tab, basis
         iters = 0
         mode_bland = use_bland
         while True:
             cand = np.where(zrow[:allowed] < -PIVOT_TOL)[0]
             if cand.size == 0:
-                return zval
+                return zval, zrow
             if mode_bland:
                 j = int(cand[0])
             else:
@@ -111,7 +127,7 @@ def simplex_max(
             col = tab[:, j]
             pos = np.where(col > PIVOT_TOL)[0]
             if pos.size == 0:
-                return math.inf
+                return math.inf, zrow
             ratios = tab[pos, n_cols] / col[pos]
             best = ratios.min()
             ties = pos[ratios <= best + 1e-12]
@@ -134,9 +150,19 @@ def simplex_max(
     zrow1 = -tab[:, :n_cols].sum(axis=0) if m else np.zeros(n_cols)
     zrow1[n_struct:] += 1.0
     zval1 = -float(tab[:, n_cols].sum())
-    art_sum = run_phase(zrow1, zval1, n_struct + m, bland)
-    if art_sum is math.inf or -art_sum > FEAS_TOL:
+    art_sum, zrow1 = run_phase(zrow1, zval1, n_struct + m, bland)
+    if art_sum is math.inf:
         return LpResult(LpStatus.INFEASIBLE)
+    if -art_sum > FEAS_TOL:
+        # Phase 1 maximizes -sum(artificials), so the simplex multipliers of
+        # the flipped, scaled rows are zrow1[artificials] - 1.  Undo the flip
+        # and the scale, and clip rounding residue below zero on inequality
+        # rows, to get the Farkas multipliers of the input rows.
+        y = zrow1[n_struct:] - 1.0
+        y[neg] *= -1.0
+        y /= scales
+        np.maximum(y[:m_ub], 0.0, out=y[:m_ub])
+        return LpResult(LpStatus.INFEASIBLE, certificate=y)
 
     # Pivot leftover artificials out of the basis (or drop redundant rows).
     keep = np.ones(m, dtype=bool)
@@ -169,7 +195,7 @@ def simplex_max(
         if cb != 0.0:
             zrow2 += cb * tab[i, :n_cols]
             zval2 += cb * tab[i, n_cols]
-    value = run_phase(zrow2, zval2, n_struct, bland)
+    value, _ = run_phase(zrow2, zval2, n_struct, bland)
     if value is math.inf:
         return LpResult(LpStatus.UNBOUNDED)
 
@@ -180,24 +206,28 @@ def simplex_max(
     return LpResult(LpStatus.OPTIMAL, float(np.dot(c, point)), point)
 
 
-def _polytope_lp(p: Polytope, c: np.ndarray, sense: str) -> LpResult:
-    a_ub, b_ub, a_eq, b_eq = p.split_arrays()
-    sign = 1.0 if sense == "max" else -1.0
-    res = simplex_max(sign * np.asarray(c, dtype=float), a_ub, b_ub, a_eq, b_eq)
+def _checked_max(c: np.ndarray, a_ub, b_ub, a_eq, b_eq) -> LpResult:
+    """``simplex_max`` with the optimum re-checked against the unscaled rows,
+    retried under Bland's rule when it violates them by more than FEAS_TOL."""
+    res = simplex_max(c, a_ub, b_ub, a_eq, b_eq)
     if res.status is not LpStatus.OPTIMAL:
         return res
-    point = res.point
-    viol = _violation(a_ub, b_ub, a_eq, b_eq, point)
-    if viol > FEAS_TOL:
-        res = simplex_max(sign * np.asarray(c, dtype=float), a_ub, b_ub, a_eq, b_eq, bland=True)
+    if _violation(a_ub, b_ub, a_eq, b_eq, res.point) > FEAS_TOL:
+        res = simplex_max(c, a_ub, b_ub, a_eq, b_eq, bland=True)
         if res.status is not LpStatus.OPTIMAL:
             return res
-        point = res.point
-        viol = _violation(a_ub, b_ub, a_eq, b_eq, point)
+        viol = _violation(a_ub, b_ub, a_eq, b_eq, res.point)
         if viol > RESIDUAL_TOL:
             raise NumericalError(f"LP solution violates constraints by {viol:.3g}")
-    value = float(np.dot(np.asarray(c, dtype=float), point))
-    return LpResult(LpStatus.OPTIMAL, value, point)
+    return res
+
+
+def _polytope_lp(p: Polytope, c: np.ndarray, sense: str) -> LpResult:
+    sign = 1.0 if sense == "max" else -1.0
+    res = _checked_max(sign * c, *p.split_arrays())
+    if res.status is not LpStatus.OPTIMAL:
+        return res
+    return LpResult(LpStatus.OPTIMAL, float(np.dot(c, res.point)), res.point)
 
 
 def _violation(a_ub, b_ub, a_eq, b_eq, x) -> float:
@@ -222,19 +252,27 @@ def lp_optimize(p: Polytope, objective: Sequence[float], sense: str = "max") -> 
     return _polytope_lp(p, np.asarray(objective, dtype=float), sense)
 
 
-def lp_feasible(p: Polytope) -> LpResult:
-    """Find any point of the closure, or report infeasibility."""
-    if p.contradictory:
-        return LpResult(LpStatus.INFEASIBLE)
-    return _polytope_lp(p, np.zeros(p.n), "max")
+def lp_feasible(
+    a_ub: np.ndarray, b_ub: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray
+) -> LpResult:
+    """Find a point with ``a_ub x <= b_ub`` and ``a_eq x = b_eq``, or report
+    infeasibility together with the Farkas certificate of phase 1.
+
+    Takes float arrays as :meth:`Polytope.split_arrays` returns them; strict
+    rows are read as their closures.
+    """
+    return _checked_max(np.zeros(a_ub.shape[1]), a_ub, b_ub, a_eq, b_eq)
 
 
 def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:
     """Center and radius of a largest inscribed ball.
 
     Equality rows join as opposite inequality pairs, so any equality (or an
-    empty interior) forces the radius to zero or below.  The radius is capped
-    at a large guard value to keep the LP bounded on unbounded input.
+    empty interior) forces the radius to zero or below.  A guard row caps the
+    radius at max(1, max_i |b_i| / ||a_i||) to keep the LP bounded on
+    unbounded input.  The cap never binds on a bounded body: the ray from the
+    center away from the origin leaves through some row i, so
+    r ||a_i|| <= b_i - a_i . c <= b_i.  Callers check boundedness first.
     """
     a, b = p.inequality_arrays()
     m = a.shape[0]
@@ -243,7 +281,9 @@ def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:
     guard = np.zeros((1, p.n + 1))
     guard[0, p.n] = 1.0
     a_aug = np.vstack([a_aug, guard])
-    b_aug = np.concatenate([b, [_RHO_GUARD]])
+    nonzero = norms > 0.0
+    rho_cap = max(1.0, float(np.max(np.abs(b[nonzero]) / norms[nonzero], initial=0.0)))
+    b_aug = np.concatenate([b, [rho_cap]])
     c = np.zeros(p.n + 1)
     c[p.n] = 1.0
     res = simplex_max(c, a_aug, b_aug)

@@ -16,6 +16,7 @@ from volcount.model import (
     Cmp,
     LinearConstraint,
     Formula,
+    NumericKind,
     Polytope,
     PolyRow,
     RowKind,
@@ -65,6 +66,26 @@ def cross_polytope(n: int) -> Polytope:
     return poly(rows, n)
 
 
+def threshold_slab(k: int, width: int = 1024) -> Formula:
+    """k bunches whose areas double from one to the next: the rectangle
+    [0, 2^(k-1)] x [0, width] split by thresholds x1 < 2^j, every threshold
+    forced to take both truth values.  Area 2^(k-1) * width."""
+    atoms = {j: ineq([1, 0], 2**j, Cmp.LT) for j in range(1, k)}
+    bounds = k
+    atoms[bounds] = ineq([-1, 0], 0)
+    atoms[bounds + 1] = ineq([1, 0], 2 ** (k - 1))
+    atoms[bounds + 2] = ineq([0, -1], 0)
+    atoms[bounds + 3] = ineq([0, 1], width)
+    clauses = []
+    for j in range(1, k):
+        selector = bounds + 3 + j
+        clauses.append((j, selector))
+        clauses.append((-j, -selector))
+    for j in range(bounds, bounds + 4):
+        clauses.append((j,))
+    return Formula(bounds + 3 + k - 1, tuple(clauses), atoms, 2, NumericKind.REAL)
+
+
 # ---------------------------------------------------------------------------
 # exact 2D area by vertex enumeration (independent of the package's code)
 
@@ -97,7 +118,7 @@ def polygon_area_2d(p: Polytope) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# integer-point counting by grid walk (exact rational row evaluation)
+# integer-point counting by grid walk (exact integer row evaluation)
 
 
 def row_holds(row: PolyRow, point) -> bool:
@@ -109,16 +130,36 @@ def row_holds(row: PolyRow, point) -> bool:
     return lhs <= row.rhs
 
 
+def _integer_form(coeffs, rhs) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A rational row scaled to integers by the lcm of its denominators, as
+    (nonzero (index, coefficient) pairs, rhs)."""
+    scale = math.lcm(Fraction(rhs).denominator, *(Fraction(c).denominator for c in coeffs))
+    terms = tuple((j, int(c * scale)) for j, c in enumerate(coeffs) if c != 0)
+    return terms, int(rhs * scale)
+
+
 def grid_count(p: Polytope, lo: int, hi: int, neqs=()) -> int:
+    """Integer points of [lo, hi]^n in the polytope and off every
+    disequality, checked one by one in exact integer arithmetic."""
     if p.contradictory:
         return 0
+    rows = []  # (terms, least lhs, greatest lhs)
+    for row in p.rows:
+        terms, rhs = _integer_form(row.coeffs, row.rhs)
+        if row.kind is RowKind.EQ:
+            rows.append((terms, rhs, rhs))
+        else:
+            rows.append((terms, None, rhs - 1 if row.kind is RowKind.LE_STRICT else rhs))
+    holes = [_integer_form(q.coeffs, q.rhs) for q in neqs]
     count = 0
     for point in itertools.product(range(lo, hi + 1), repeat=p.n):
-        pt = tuple(Fraction(v) for v in point)
-        if all(row_holds(row, pt) for row in p.rows) and all(
-            sum((c * x for c, x in zip(q.coeffs, pt)), start=Fraction(0)) != q.rhs
-            for q in neqs
-        ):
+        ok = True
+        for terms, least, greatest in rows:
+            lhs = sum(c * point[j] for j, c in terms)
+            if lhs > greatest or (least is not None and lhs < least):
+                ok = False
+                break
+        if ok and all(sum(c * point[j] for j, c in terms) != rhs for terms, rhs in holes):
             count += 1
     return count
 

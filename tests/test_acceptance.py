@@ -40,6 +40,7 @@ from oracles import (
     poly,
     simplex,
     skeleton_models,
+    threshold_slab,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -216,26 +217,8 @@ def test_estimator_tracks_exact_backend_on_random_instances(random_suite_reports
 
 
 def geometric_slab_suite():
-    """Twenty bunches whose volumes double from one to the next: a rectangle
-    [0, 2^19] x [0, 1024] split by thresholds x1 < 2^j, every threshold
-    forced to take both truth values."""
-    atoms = {}
-    width = 1024
-    for j in range(1, 20):
-        atoms[j] = ineq([1, 0], 2**j, Cmp.LT)
-    bounds = 20
-    atoms[bounds] = ineq([-1, 0], 0)
-    atoms[bounds + 1] = ineq([1, 0], 2**19)
-    atoms[bounds + 2] = ineq([0, -1], 0)
-    atoms[bounds + 3] = ineq([0, 1], width)
-    clauses = []
-    for j in range(1, 20):
-        selector = bounds + 3 + j
-        clauses.append((j, selector))
-        clauses.append((-j, -selector))
-    for j in range(bounds, bounds + 4):
-        clauses.append((j,))
-    return Formula(bounds + 3 + 19, tuple(clauses), atoms, 2, NumericKind.REAL)
+    """Twenty bunches whose volumes double from one to the next."""
+    return threshold_slab(20)
 
 
 def test_two_round_average_coefficient_stays_low():
@@ -245,6 +228,14 @@ def test_two_round_average_coefficient_stays_low():
     assert report.sampling["avg_coefficient"] <= config.max_coeff / 4
     expected = float(2**19) * 1024.0
     assert report.totals["estimate"] == pytest.approx(expected, rel=0.25)
+
+
+def test_thirty_two_slabs_keep_every_bunch():
+    """Thresholds up to 2^31 next to unit coefficients: scaling a row by its
+    right-hand side would push the coefficient below the pivot tolerance."""
+    report = run(SolverConfig(word_length=0, backends=EXACT), threshold_slab(32))
+    assert len(report.bunches) == 32
+    assert report.totals["exact_volume"] == pytest.approx(2.0**31 * 1024, rel=1e-9)
 
 
 def test_point_reuse_keeps_fresh_samples_under_sixty_percent(random_suite_reports):

@@ -1,25 +1,32 @@
 """Bunch enumeration: cover, disjointness, minimality, theory pruning."""
+import dataclasses
 import itertools
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volcount.bunches import enumerate_bunches, minimize_assignment, theory_check
+from volcount import bunches as bunches_mod
+from volcount.bunches import TheoryRows, enumerate_bunches, minimize_assignment, theory_check
 from volcount.lp import LpStatus, lp_feasible
 from volcount.model import (
     Bunch,
+    Cmp,
     Formula,
     NumericKind,
     SolverConfig,
+    box_constraints,
     bunch_multiplier,
     bunch_polytope,
+    literal_row,
+    make_polytope,
 )
 from volcount.volce import parse_volce
 
-from oracles import clause_true, ineq, skeleton_models
+from oracles import clause_true, ineq, skeleton_models, threshold_slab
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CFG = SolverConfig(word_length=3)
@@ -156,12 +163,12 @@ class TestTheory:
 
     def test_consistent_assignment_passes(self):
         f = self.make_formula()
-        assert theory_check([(1, True), (2, True)], f, CFG) is None
+        assert theory_check([(1, True), (2, True)], TheoryRows(f, CFG)) is None
 
     def test_conflict_core_is_small(self):
         f = self.make_formula()
         # x <= 1 and not (x <= 3) is impossible
-        core = theory_check([(1, True), (2, False)], f, CFG)
+        core = theory_check([(1, True), (2, False)], TheoryRows(f, CFG))
         assert core is not None
         assert set(core) == {(1, True), (2, False)}
 
@@ -172,7 +179,7 @@ class TestTheory:
             3: ineq([0, 1], 0),
         }
         f = Formula(3, ((1,), (2,), (3,)), atoms, 2, NumericKind.INT)
-        core = theory_check([(1, True), (2, False), (3, True)], f, CFG)
+        core = theory_check([(1, True), (2, False), (3, True)], TheoryRows(f, CFG))
         assert core is not None
         assert (3, True) not in core
 
@@ -184,11 +191,114 @@ class TestTheory:
         regions = set()
         for b in bunches:
             poly, _ = bunch_polytope(b, f, CFG)
-            assert lp_feasible(poly).status is LpStatus.OPTIMAL
+            assert lp_feasible(*poly.split_arrays()).status is LpStatus.OPTIMAL
             regions.add((b.assignment[1], b.assignment[2]))
         # x<=1<=3: TT; 1<x<=3: FT; x>3: FF; TF impossible
         assert len(bunches) == 3
         assert regions == {(True, True), (False, True), (False, False)}
+
+
+def closure_feasible(literals, formula, config):
+    """Independent check with HiGHS: is the closure of the literals' rows
+    plus the word-length box nonempty?"""
+    from scipy.optimize import linprog
+
+    items = []
+    for var, value in literals:
+        shaped = literal_row(formula.atom_map[var], value)
+        if shaped[0] == "row":
+            items.append((shaped[1], shaped[2]))
+    items.extend(box_constraints(formula.num_numeric_vars, config.word_length))
+    p = make_polytope(items, formula.num_numeric_vars)
+    if p.contradictory:
+        return False
+    a_ub, b_ub, a_eq, b_eq = p.split_arrays()
+    n = p.n
+    res = linprog(
+        np.zeros(n),
+        A_ub=a_ub if len(b_ub) else None,
+        b_ub=b_ub if len(b_ub) else None,
+        A_eq=a_eq if len(b_eq) else None,
+        b_eq=b_eq if len(b_eq) else None,
+        bounds=[(None, None)] * n,
+        method="highs",
+    )
+    return res.status == 0
+
+
+def random_atoms(data, n, count):
+    atoms = {}
+    for var in range(1, count + 1):
+        coeffs = [data.draw(st.integers(-3, 3)) for _ in range(n)]
+        op = data.draw(st.sampled_from([Cmp.LE, Cmp.LT, Cmp.EQ]))
+        atoms[var] = ineq(coeffs, data.draw(st.integers(-4, 4)), op)
+    return atoms
+
+
+class TestConflictCores:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cores_are_irreducible(self, data):
+        n = data.draw(st.integers(1, 3))
+        count = data.draw(st.integers(2, 7))
+        f = pin_atoms(random_atoms(data, n, count), n)
+        literals = [(v, data.draw(st.booleans())) for v in range(1, count + 1)]
+        core = theory_check(literals, TheoryRows(f, CFG))
+        if core is None:
+            assert closure_feasible(literals, f, CFG)
+            return
+        assert set(core) <= set(literals)
+        assert not closure_feasible(core, f, CFG)
+        for lit in core:
+            assert closure_feasible([x for x in core if x != lit], f, CFG)
+
+    def test_bogus_certificate_falls_back_to_plain_deletion(self, monkeypatch):
+        atoms = {1: ineq([1, 0], 1), 2: ineq([1, 0], 3), 3: ineq([0, 1], 0), 4: ineq([1, 1], 2)}
+        f = pin_atoms(atoms, 2)
+        rows = TheoryRows(f, CFG)
+        literals = [(1, True), (2, False), (3, True), (4, False)]
+
+        def plain_deletion(lits):
+            core = sorted(lits)
+            for lit in sorted(lits):
+                trial = [x for x in core if x != lit]
+                if not rows.check(trial)[0]:
+                    core = trial
+            return core
+
+        want = plain_deletion(literals)
+        real = bunches_mod.lp_feasible
+
+        def bogus(a_ub, b_ub, a_eq, b_eq):
+            res = real(a_ub, b_ub, a_eq, b_eq)
+            if res.certificate is None:
+                return res
+            # all weight on the first row: a support that is consistent alone
+            fake = np.zeros_like(res.certificate)
+            fake[0] = 1.0
+            return dataclasses.replace(res, certificate=fake)
+
+        monkeypatch.setattr(bunches_mod, "lp_feasible", bogus)
+        assert theory_check(literals, rows) == want
+        monkeypatch.setattr(
+            bunches_mod, "lp_feasible",
+            lambda *arrays: dataclasses.replace(real(*arrays), certificate=None),
+        )
+        assert theory_check(literals, rows) == want
+
+    def test_threshold_slab_enumeration_stays_within_lp_budget(self, monkeypatch):
+        # Deletion over every literal took 4,124 LPs here.
+        calls = []
+        real = bunches_mod.lp_feasible
+
+        def counted(*arrays):
+            calls.append(1)
+            return real(*arrays)
+
+        monkeypatch.setattr(bunches_mod, "lp_feasible", counted)
+        bunches = list(enumerate_bunches(threshold_slab(20), SolverConfig(word_length=0)))
+        assert len(bunches) == 20
+        assert len(calls) <= 1000
 
 
 class TestAuxAndMultipliers:

@@ -1,7 +1,7 @@
 """Two-phase simplex and the polytope-level LP helpers."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from volcount.errors import UnboundedError
@@ -83,6 +83,27 @@ class TestSimplexMax:
         assert res.value == pytest.approx(0.77, abs=1e-7)
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_infeasible_systems_carry_a_farkas_certificate(data):
+    """y >= 0 on the inequality rows, y^T A = 0 and y^T b < 0."""
+    n = data.draw(st.integers(1, 4))
+    m_ub = data.draw(st.integers(1, 7))
+    m_eq = data.draw(st.integers(0, 2))
+    entry = st.integers(-5, 5)
+    m = m_ub + m_eq
+    scale = np.array([data.draw(st.sampled_from([1.0, 0.5, 8.0, 2.0**20])) for _ in range(m)])
+    a = np.array([[data.draw(entry) for _ in range(n)] for _ in range(m)]) * scale[:, None]
+    b = np.array([data.draw(st.integers(-12, 4)) for _ in range(m)]) * scale
+    res = simplex_max(np.zeros(n), a[:m_ub], b[:m_ub], a[m_ub:], b[m_ub:])
+    assume(res.status is LpStatus.INFEASIBLE)
+    y = res.certificate
+    assert y is not None and y.shape == (m,)
+    assert np.all(y[:m_ub] >= 0.0)
+    assert np.linalg.norm(y @ a) <= 1e-7 * np.linalg.norm(y)
+    assert float(y @ b) < 0.0
+
+
 class TestPolytopeHelpers:
     def test_optimize_over_cube(self):
         p = cube(3)
@@ -92,14 +113,23 @@ class TestPolytopeHelpers:
         assert res2.value == pytest.approx(-4.0, abs=1e-9)
 
     def test_feasibility(self):
-        assert lp_feasible(cube(2)).status is LpStatus.OPTIMAL
+        assert lp_feasible(*cube(2).split_arrays()).status is LpStatus.OPTIMAL
         empty = poly([ineq([1, 0], 0), ineq([-1, 0], -1)], 2)
-        assert lp_feasible(empty).status is LpStatus.INFEASIBLE
+        assert lp_feasible(*empty.split_arrays()).status is LpStatus.INFEASIBLE
 
     def test_chebyshev_cube(self):
         center, rho = chebyshev_center(cube(2))
         assert rho == pytest.approx(1.0, abs=1e-7)
         assert np.allclose(center, [0.0, 0.0], atol=1e-6)
+
+    def test_chebyshev_far_from_the_origin(self):
+        # a box [2^30, 2^30 + 2] x [0, 2]: the radius cap must not bind
+        far = poly(
+            [ineq([1, 0], 2**30 + 2), ineq([-1, 0], -(2**30)), ineq([0, 1], 2), ineq([0, -1], 0)], 2
+        )
+        center, rho = chebyshev_center(far)
+        assert rho == pytest.approx(1.0, abs=1e-7)
+        assert center[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_chebyshev_flat(self):
         flat = poly([ineq([1, 0], 0), ineq([-1, 0], 0), ineq([0, 1], 1), ineq([0, -1], 1)], 2)

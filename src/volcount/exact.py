@@ -11,83 +11,30 @@ one variable, which recurses down to planar polygons handled by a shoelace
 base case.  Sub-bodies are memoized on (rows used as equations, variables
 eliminated): Gaussian elimination steps on distinct pivots commute, so that
 pair determines the reduced body regardless of the substitution order.
+
+Each interior node (dimension 3 and up) first checks that its body is
+nonempty with one feasibility LP on the built-in simplex of ``lp.py``; the
+interval and polygon base cases detect emptiness themselves.  No redundancy
+pruning runs: a redundant row's face is empty or lower-dimensional, so it
+adds zero to the sum.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NumericalError, UnboundedError, check_deadline
 from .lp import LpStatus, chebyshev_center, lp_optimize
-from .model import (
-    Cmp,
-    LinearConstraint,
-    Polytope,
-    RowKind,
-    make_polytope,
-    normalize_constraint,
-)
+# The recursion's emptiness LP; perfbench traces it under this name as
+# exact.linprog.
+from .lp import lp_feasible as linprog
+from .model import Polytope, RowKind
 
 _ZERO_TOL = 1e-12
-_REDUNDANCY_EPS = 1e-9
+_CONSTANT_ROW_TOL = 1e-9
 _VERTEX_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class FaceRestriction:
-    """A facet of a polytope rewritten as a full-dimensional body one
-    dimension down.
-
-    The facet's (n-1)-measure equals ``scale`` times the volume of
-    ``reduced``: substituting the pivot variable stretches the facet by
-    |a_i| / |a_{i,pivot}| (always >= 1 for the largest-coefficient pivot).
-    """
-
-    reduced: Polytope
-    row_index: int
-    pivot_var: int
-    scale: float
-
-
-def face_restrict(p: Polytope, row_index: int) -> Optional[FaceRestriction]:
-    """Restrict a polytope to the hyperplane of one row, eliminating the
-    variable with the largest absolute coefficient in that row.
-
-    Returns None when the row has no usable pivot (an all-zero row never
-    reaches a polytope, so that only guards numerical degeneration).
-    """
-    row = p.rows[row_index]
-    pivot = max(range(p.n), key=lambda j: abs(row.coeffs[j]))
-    if row.coeffs[pivot] == 0:
-        return None
-    piv_c = row.coeffs[pivot]
-    norm = math.sqrt(float(sum(c * c for c in row.coeffs)))
-    scale = norm / abs(float(piv_c))
-
-    reduced_rows: list[tuple[LinearConstraint, RowKind]] = []
-    for r_i, other in enumerate(p.rows):
-        if r_i == row_index:
-            continue
-        factor = other.coeffs[pivot] / piv_c
-        coeffs = tuple(
-            other.coeffs[j] - factor * row.coeffs[j] for j in range(p.n) if j != pivot
-        )
-        rhs = other.rhs - factor * row.rhs
-        op = Cmp.EQ if other.kind is RowKind.EQ else Cmp.LE
-        strict = other.kind is RowKind.LE_STRICT
-        canon = normalize_constraint(LinearConstraint(coeffs, op, rhs, strict))
-        kind = (
-            RowKind.EQ
-            if canon.op is Cmp.EQ
-            else (RowKind.LE_STRICT if canon.strict else RowKind.LE)
-        )
-        reduced_rows.append((canon, kind))
-    reduced = make_polytope(reduced_rows, p.n - 1)
-    return FaceRestriction(reduced, row_index, pivot, scale)
 
 
 def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
@@ -140,7 +87,7 @@ def _clean_rows(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
         row = a[i]
         scale = float(np.max(np.abs(row)))
         if scale < _ZERO_TOL:
-            if b[i] < -_REDUNDANCY_EPS:
+            if b[i] < -_CONSTANT_ROW_TOL:
                 return None
             continue
         nrow = row / scale
@@ -212,16 +159,9 @@ def _volume_rec(
     else:
         # Empty bodies short-circuit; the planar/interval base cases above
         # detect emptiness on their own, so only interior nodes pay for it.
-        res = linprog(np.zeros(n), A_ub=a, b_ub=b, bounds=(None, None), method="highs")
-        if res.status != 0:
+        if linprog(a, b, np.zeros((0, n)), np.zeros(0)).status is not LpStatus.OPTIMAL:
             memo[key] = 0.0
             return 0.0
-        # Redundancy pruning costs one LP per row, so it only pays off when
-        # the system carries real excess over the ~2n rows a box-like body
-        # needs; lean systems recurse faster without it.
-        if m > 2 * n + 8:
-            a, b, ids = _drop_redundant(a, b, ids)
-            m = a.shape[0]
         total = 0.0
         for i in range(m):
             if b[i] == 0.0:
@@ -262,22 +202,6 @@ def _substitute(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...], i: int, piv:
     mask = np.ones(len(b), dtype=bool)
     mask[i] = False
     return _clean_rows(a_new[mask], b_new[mask], tuple(x for j, x in enumerate(ids) if mask[j]))
-
-
-def _drop_redundant(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
-    """Remove rows whose halfspace is implied by the others: row i is
-    redundant when max a_i . x over the rest stays below b_i - eps."""
-    m = a.shape[0]
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        trial = keep.copy()
-        trial[i] = False
-        res = linprog(-a[i], A_ub=a[trial], b_ub=b[trial], bounds=(None, None), method="highs")
-        if res.status == 0 and -res.fun <= b[i] - _REDUNDANCY_EPS:
-            keep[i] = False
-    if keep.all():
-        return a, b, ids
-    return a[keep], b[keep], tuple(x for j, x in enumerate(ids) if keep[j])
 
 
 def _interval_length(a: np.ndarray, b: np.ndarray) -> float:

@@ -243,7 +243,7 @@ def lp_optimize(p: Polytope, objective: Sequence[float], sense: str = "max") -> 
     """Optimize a linear objective over the closure of a polytope.
 
     Strict rows are treated as their closures, which is what every caller
-    (boundedness probes, redundancy checks, integer bounds) wants.
+    (boundedness probes, integer bounds) wants.
     """
     if p.contradictory:
         return LpResult(LpStatus.INFEASIBLE)

@@ -1,13 +1,18 @@
 """Exact polytope volume: closed forms, planar oracle, hull oracle, edge cases."""
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import volcount
 from volcount.errors import UnboundedError
-from volcount.exact import exact_volume, face_restrict
+from volcount.exact import exact_volume
 from volcount.model import Cmp, RowKind, make_polytope
 
 from oracles import (
@@ -19,6 +24,16 @@ from oracles import (
     polygon_area_2d,
     simplex,
 )
+
+
+def _box_rows(n, lo, hi):
+    """The rows of [lo, hi]^n."""
+    rows = []
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        rows += [ineq(e, hi), ineq([-c for c in e], -lo)]
+    return rows
 
 
 class TestClosedForms:
@@ -58,6 +73,19 @@ class TestClosedForms:
             delta = sum(ci * ti for ci, ti in zip(c.coeffs, t))
             shifted.append(ineq(list(c.coeffs), c.rhs + delta))
         assert exact_volume(poly(shifted, 3)) == pytest.approx(v0, rel=1e-9)
+
+    def test_word_box_cut_by_coupling_row(self):
+        # [-8, 7]^8 with sum(x) <= 3; shifting by 8 gives [0, 15]^8 with
+        # sum(y) <= 67, whose volume is the inclusion-exclusion sum over the
+        # k coordinates forced past 15.
+        n, width, cap = 8, 15, 67
+        want = sum(
+            (-1) ** k * math.comb(n, k) * Fraction(max(cap - width * k, 0)) ** n
+            for k in range(n + 1)
+        ) / math.factorial(n)
+        assert want == Fraction(2104760818081, 1152)
+        rows = [ineq([1] * n, 3)] + _box_rows(n, -8, 7)
+        assert exact_volume(poly(rows, n)) == pytest.approx(float(want), rel=1e-9)
 
 
 class TestPlanarOracle:
@@ -113,6 +141,14 @@ class TestDegenerate:
         p = poly([ineq([1, 0], 0), ineq([-1, 0], 0), ineq([0, 1], 1), ineq([0, -1], 0)], 2)
         assert exact_volume(p) == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_diagonal_flat_is_zero(self, n):
+        # sum(x) <= 1 and sum(x) >= 1 inside [0, 1]^n.  The Chebyshev radius
+        # comes out as rounding noise (about 5e-17), not zero, so the flat
+        # body reaches the recursion and its emptiness LPs.
+        rows = [ineq([1] * n, 1), ineq([-1] * n, -1)] + _box_rows(n, 0, 1)
+        assert exact_volume(poly(rows, n)) == 0.0
+
     def test_equality_row_is_zero(self):
         rows = [ineq([1, 1], 1, Cmp.EQ), ineq([1, 0], 5), ineq([-1, 0], 5), ineq([0, 1], 5), ineq([0, -1], 5)]
         assert exact_volume(poly(rows, 2)) == 0.0
@@ -144,28 +180,15 @@ class TestDegenerate:
         assert exact_volume(poly(extra, 2)) == pytest.approx(4.0, rel=1e-12)
 
 
-class TestFaceRestrict:
-    def test_square_edge(self):
-        p = poly(
-            [ineq([1, 0], 2), ineq([-1, 0], 0), ineq([0, 1], 3), ineq([0, -1], 0)], 2
-        )
-        # restrict to x = 2: a segment of length 3, one dimension down
-        idx = next(
-            i for i, row in enumerate(p.rows) if row.coeffs == (Fraction(1), Fraction(0))
-        )
-        face = face_restrict(p, idx)
-        assert face is not None
-        assert face.scale == pytest.approx(1.0)
-        assert exact_volume(face.reduced) == pytest.approx(3.0)
 
-    def test_diagonal_scale(self):
-        p = simplex(2)
-        idx = next(
-            i
-            for i, row in enumerate(p.rows)
-            if row.coeffs == (Fraction(1), Fraction(1))
-        )
-        face = face_restrict(p, idx)
-        # hypotenuse has length sqrt(2); the reduced segment has length 1
-        assert face.scale == pytest.approx(math.sqrt(2.0))
-        assert exact_volume(face.reduced) == pytest.approx(1.0)
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(volcount.__file__).resolve().parents[1])
+    code = "import sys, volcount; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

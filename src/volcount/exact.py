@@ -10,7 +10,10 @@ facet measure is a lower-dimensional polytope volume after substituting out
 one variable, which recurses down to planar polygons handled by a shoelace
 base case.  Sub-bodies are memoized on (rows used as equations, variables
 eliminated): Gaussian elimination steps on distinct pivots commute, so that
-pair determines the reduced body regardless of the substitution order.
+pair determines the reduced body regardless of the substitution order.  The
+memo is checked on that pair before a facet's body is built, so a repeated
+facet costs one lookup; a body reached under a new pair is also looked up
+by a canonical key of its rows.
 
 Each interior node (dimension 3 and up) first checks that its body is
 nonempty with one feasibility LP on the built-in simplex of ``lp.py``; the
@@ -79,35 +82,31 @@ def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
 
 def _clean_rows(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
     """Normalize rows by their largest coefficient, drop constant rows, and
-    merge parallel duplicates keeping the tightest (smallest id wins ties).
-    Returns None when a constant row is violated (empty body)."""
-    kept: dict[tuple, tuple[float, int, np.ndarray]] = {}
-    order: list[tuple] = []
-    for i in range(a.shape[0]):
-        row = a[i]
-        scale = float(np.max(np.abs(row)))
-        if scale < _ZERO_TOL:
-            if b[i] < -_CONSTANT_ROW_TOL:
-                return None
-            continue
-        nrow = row / scale
-        nb = float(b[i]) / scale
-        key = tuple(np.round(nrow, 12))
-        prev = kept.get(key)
-        if prev is None:
-            kept[key] = (nb, ids[i], nrow)
-            order.append(key)
-        elif nb < prev[0] - 1e-15:
+    merge parallel duplicates keeping the tightest (the earlier row wins
+    ties).  Rows come out in first-occurrence order.  Returns None when a
+    constant row is violated (empty body) or no row is left."""
+    scales = np.abs(a).max(axis=1)
+    constant = scales < _ZERO_TOL
+    if np.any(b[constant] < -_CONSTANT_ROW_TOL):
+        return None
+    live = np.flatnonzero(~constant)
+    if live.size == 0:
+        return None
+    a_norm = a[live] / scales[live, None]
+    b_norm = b[live] / scales[live]
+    keys = np.round(a_norm, 12) + 0.0  # drop negative zeros
+    rhs = b_norm.tolist()
+    kept: dict[bytes, int] = {}
+    for r in range(len(rhs)):
+        k = keys[r].tobytes()
+        prev = kept.get(k)
+        if prev is None or rhs[r] < rhs[prev] - 1e-15:
             # The tighter row wins and keeps its own id: ids name original
             # hyperplanes in the memo, so a merged row must not masquerade
             # as the looser plane it displaced.
-            kept[key] = (nb, ids[i], nrow)
-    if not order:
-        return None
-    a_out = np.array([kept[k][2] for k in order])
-    b_out = np.array([kept[k][0] for k in order])
-    ids_out = tuple(kept[k][1] for k in order)
-    return a_out, b_out, ids_out
+            kept[k] = r
+    sel = list(kept.values())
+    return a_norm[sel], b_norm[sel], tuple(ids[live[r]] for r in sel)
 
 
 def _canonical_key(a: np.ndarray, b: np.ndarray):
@@ -169,21 +168,25 @@ def _volume_rec(
             piv = int(np.argmax(np.abs(a[i])))
             if abs(a[i, piv]) < _ZERO_TOL:
                 continue
-            child = _substitute(a, b, ids, i, piv)
-            if child is None:
-                face_vol = 0.0
-            else:
-                ca, cb, cids = child
-                face_vol = _volume_rec(
-                    ca,
-                    cb,
-                    cids,
-                    elim_rows | {ids[i]},
-                    elim_vars | {var_ids[piv]},
-                    var_ids[:piv] + var_ids[piv + 1 :],
-                    memo,
-                    deadline,
-                )
+            child_rows = elim_rows | {ids[i]}
+            child_vars = elim_vars | {var_ids[piv]}
+            face_vol = memo.get((child_rows, child_vars))
+            if face_vol is None:
+                child = _substitute(a, b, ids, i, piv)
+                if child is None:
+                    face_vol = 0.0
+                else:
+                    ca, cb, cids = child
+                    face_vol = _volume_rec(
+                        ca,
+                        cb,
+                        cids,
+                        child_rows,
+                        child_vars,
+                        var_ids[:piv] + var_ids[piv + 1 :],
+                        memo,
+                        deadline,
+                    )
             total += (b[i] / abs(a[i, piv])) * face_vol
         vol = max(total / n, 0.0)
 
@@ -221,17 +224,15 @@ def _interval_length(a: np.ndarray, b: np.ndarray) -> float:
 def _polygon_area(a: np.ndarray, b: np.ndarray) -> float:
     """Area of { A x <= b } in the plane: enumerate pairwise line
     intersections, keep the feasible ones, walk them in angular order."""
-    m = a.shape[0]
-    pts: list[tuple[float, float]] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
-            if abs(det) < _ZERO_TOL:
-                continue
-            x = (b[i] * a[j, 1] - b[j] * a[i, 1]) / det
-            y = (a[i, 0] * b[j] - a[j, 0] * b[i]) / det
-            if np.all(a[:, 0] * x + a[:, 1] * y <= b + _VERTEX_TOL):
-                pts.append((x, y))
+    i, j = np.triu_indices(a.shape[0], 1)
+    a0, a1 = a[:, 0], a[:, 1]
+    det = a0[i] * a1[j] - a1[i] * a0[j]
+    regular = ~(np.abs(det) < _ZERO_TOL)
+    i, j, det = i[regular], j[regular], det[regular]
+    x = (b[i] * a1[j] - b[j] * a1[i]) / det
+    y = (a0[i] * b[j] - a0[j] * b[i]) / det
+    inside = np.all(np.outer(x, a0) + np.outer(y, a1) <= b + _VERTEX_TOL, axis=1)
+    pts = list(zip(x[inside].tolist(), y[inside].tolist()))
     if len(pts) < 3:
         return 0.0
     uniq: list[tuple[float, float]] = []

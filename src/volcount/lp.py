@@ -11,12 +11,20 @@ a row such as ``x < 2^31`` keeps its coefficient at 1 instead of shrinking
 below the pivot tolerance.  Phase-1 feasibility stays absolute (FEAS_TOL in
 the units of the scaled rows).
 
+Rows with b < 0 are negated first.  Phase 1 then starts each inequality row
+that kept b >= 0 on its slack, and each negated row and each equality row
+on an artificial, so a system whose rows all hold at the origin starts
+feasible.  Every row still has an artificial column, basic or not.
+
 When phase 1 ends with artificials left over, :class:`LpResult` carries a
 Farkas certificate: multipliers y, one per input row (inequalities first,
 then equalities), read from the final phase-1 reduced costs of the
-artificial columns with the row flips and scales undone.  y >= 0 on the
-inequality rows, y^T A = 0 up to rounding and y^T b < 0, so the rows with
-nonzero y are by themselves infeasible.
+artificial columns with the row flips and scales undone.  The read-out does
+not depend on the starting basis: an artificial column is a unit column
+with phase-1 cost -1, so its final reduced cost minus one is the row's
+simplex multiplier.  y >= 0 on the inequality rows, y^T A = 0 up to
+rounding and y^T b < 0, so the rows with nonzero y are by themselves
+infeasible.
 """
 from __future__ import annotations
 
@@ -100,7 +108,13 @@ def simplex_max(
     tab[neg, n_cols] *= -1.0
     for i in range(m):
         tab[i, n_struct + i] = 1.0
-    basis = list(range(n_struct, n_struct + m))
+    # An inequality row with b >= 0 starts on its slack; flipped rows and
+    # equality rows start on their artificial.  Every row keeps its
+    # artificial column, so the certificate read-out below holds for any
+    # starting basis.
+    on_art = neg.copy()
+    on_art[m_ub:] = True
+    basis = [n_struct + i if on_art[i] else 2 * n + i for i in range(m)]
 
     obj = np.zeros(n_cols)
     obj[:n] = c
@@ -146,10 +160,11 @@ def simplex_max(
             if iters > 4 * limit:
                 raise NumericalError("simplex failed to converge")
 
-    # Phase 1: drive artificials to zero.
-    zrow1 = -tab[:, :n_cols].sum(axis=0) if m else np.zeros(n_cols)
+    # Phase 1: drive artificials to zero.  Only rows that start on their
+    # artificial carry phase-1 cost in the starting basis.
+    zrow1 = -tab[on_art, :n_cols].sum(axis=0)
     zrow1[n_struct:] += 1.0
-    zval1 = -float(tab[:, n_cols].sum())
+    zval1 = -float(tab[on_art, n_cols].sum())
     art_sum, zrow1 = run_phase(zrow1, zval1, n_struct + m, bland)
     if art_sum is math.inf:
         return LpResult(LpStatus.INFEASIBLE)

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from volcount.exact import _CONSTANT_ROW_TOL, _VERTEX_TOL, _ZERO_TOL
 from volcount.model import (
     Cmp,
     LinearConstraint,
@@ -115,6 +116,74 @@ def polygon_area_2d(p: Polytope) -> Fraction:
         x2, y2 = verts[(i + 1) % len(verts)]
         area += x1 * y2 - x2 * y1
     return abs(area) / 2
+
+
+# ---------------------------------------------------------------------------
+# loop forms of volcount.exact's array kernels (same float operations, one
+# row or one pair at a time; the array code must match them bit for bit)
+
+
+def clean_rows_loop(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
+    """Row-by-row reference for ``exact._clean_rows``: normalize by the
+    largest coefficient, drop constant rows (None if one is violated or no
+    row is left), merge parallel rows keeping the tightest, the earlier row
+    winning ties within 1e-15."""
+    kept: dict[tuple, tuple[float, int, np.ndarray]] = {}
+    order: list[tuple] = []
+    for i in range(a.shape[0]):
+        row = a[i]
+        scale = float(np.max(np.abs(row)))
+        if scale < _ZERO_TOL:
+            if b[i] < -_CONSTANT_ROW_TOL:
+                return None
+            continue
+        nrow = row / scale
+        nb = float(b[i]) / scale
+        key = tuple(np.round(nrow, 12))
+        prev = kept.get(key)
+        if prev is None:
+            kept[key] = (nb, ids[i], nrow)
+            order.append(key)
+        elif nb < prev[0] - 1e-15:
+            kept[key] = (nb, ids[i], nrow)
+    if not order:
+        return None
+    a_out = np.array([kept[k][2] for k in order])
+    b_out = np.array([kept[k][0] for k in order])
+    ids_out = tuple(kept[k][1] for k in order)
+    return a_out, b_out, ids_out
+
+
+def polygon_area_loop(a: np.ndarray, b: np.ndarray) -> float:
+    """Pair-by-pair reference for ``exact._polygon_area``."""
+    m = a.shape[0]
+    pts: list[tuple[float, float]] = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
+            if abs(det) < _ZERO_TOL:
+                continue
+            x = (b[i] * a[j, 1] - b[j] * a[i, 1]) / det
+            y = (a[i, 0] * b[j] - a[j, 0] * b[i]) / det
+            if np.all(a[:, 0] * x + a[:, 1] * y <= b + _VERTEX_TOL):
+                pts.append((x, y))
+    if len(pts) < 3:
+        return 0.0
+    uniq: list[tuple[float, float]] = []
+    for x, y in pts:
+        if all(abs(x - u) > 1e-9 or abs(y - v) > 1e-9 for u, v in uniq):
+            uniq.append((x, y))
+    if len(uniq) < 3:
+        return 0.0
+    cx = sum(x for x, _ in uniq) / len(uniq)
+    cy = sum(y for _, y in uniq) / len(uniq)
+    uniq.sort(key=lambda pt: math.atan2(pt[1] - cy, pt[0] - cx))
+    area = 0.0
+    for k in range(len(uniq)):
+        x1, y1 = uniq[k]
+        x2, y2 = uniq[(k + 1) % len(uniq)]
+        area += x1 * y2 - x2 * y1
+    return abs(area) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,25 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import volcount
 from volcount.errors import UnboundedError
-from volcount.exact import exact_volume
+from volcount.exact import _clean_rows, _polygon_area, exact_volume
 from volcount.model import Cmp, RowKind, make_polytope
 
 from oracles import (
+    clean_rows_loop,
     cross_polytope,
     cube,
     hull_volume,
     ineq,
     poly,
     polygon_area_2d,
+    polygon_area_loop,
     simplex,
 )
 
@@ -108,6 +111,74 @@ class TestPlanarOracle:
         want = float(polygon_area_2d(p))
         got = exact_volume(p)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def _row_systems(draw):
+    """(a, b, ids): rows drawn from a few directions at mixed scales, so
+    parallel and coincident rows are common, right-hand sides nudged by
+    less than 1e-15, coefficients nudged by 1e-14, and constant rows (zero
+    or below the 1e-12 scale cut-off) that hold or fail."""
+    n = draw(st.integers(2, 4))
+    directions = draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4)
+    )
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(0, 9))):
+        if draw(st.integers(0, 4)) == 0:
+            tiny = draw(st.sampled_from([0.0, 1e-13, -5e-13]))
+            rows.append([tiny * draw(st.integers(-1, 1)) for _ in range(n)])
+            rhs.append(draw(st.sampled_from([0.0, 1.0, -1e-9, -2e-9, -3.0])))
+            continue
+        scale = draw(st.sampled_from([1.0, 2.0, 0.5, 3.0, 1e-3, 2.0**20]))
+        row = [c * scale for c in draw(st.sampled_from(directions))]
+        # A residue far below the 1e-12 key rounding, which can round to -0.0.
+        row[0] += draw(st.sampled_from([0.0, 0.0, 1e-14, -1e-14]))
+        rows.append(row)
+        c = draw(st.integers(-6, 6)) / draw(st.sampled_from([1, 2, 3, 7]))
+        nudge = draw(st.sampled_from([0.0, 2e-16, -2e-16, 9e-16, -9e-16, 3e-15]))
+        rhs.append((c + nudge) * scale)
+    ids = tuple(draw(st.permutations(range(len(rows)))))
+    return np.array(rows, dtype=float).reshape(len(rows), n), np.array(rhs, dtype=float), ids
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return np.array_equal(x, y) and x.tobytes() == y.tobytes()
+
+
+_BOX = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+
+
+@given(_row_systems())
+@settings(max_examples=300, deadline=None)
+# 2x + 2y <= 4 next to x + y <= 3: the later, larger-scale row is tighter.
+@example((np.array([[1.0, 1.0], [2.0, 2.0]] + _BOX), np.array([3.0, 4, 1, 1, 1, 1]), (5, 0, 1, 2, 3, 4)))
+# Right-hand sides within 1e-15 after scaling: the earlier row wins.
+@example((np.array([[1.0, 1.0], [2.0, 2.0]] + _BOX), np.array([1, 2 - 1e-15, 1, 1, 1, 1]), (3, 1, 2, 0, 4, 5)))
+# Constant rows, one satisfied and one violated.
+@example((np.array([[0.0, 0.0]] + _BOX), np.array([0.5, 1, 1, 1, 1]), (0, 1, 2, 3, 4)))
+@example((np.array(_BOX + [[0.0, 1e-13]]), np.array([1, 1, 1, 1, -1.0]), (0, 1, 2, 3, 4)))
+# All rows constant, and no rows at all.
+@example((np.zeros((2, 3)), np.array([1.0, 0.0]), (0, 1)))
+@example((np.zeros((0, 2)), np.zeros(0), ()))
+# Coincident and parallel lines, and an empty polygon.
+@example((np.array(_BOX + [[1.0, 0], [2, 0], [1, 1]]), np.array([1, 1, 1, 1, 1, 1, 0.5]), tuple(range(7))))
+@example((np.array(_BOX + [[1.0, 1.0]]), np.array([1, 1, 1, 1, -3.0]), (0, 1, 2, 3, 4)))
+def test_array_kernels_match_loop_references(system):
+    """_clean_rows and _polygon_area give the loop references' floats bit
+    for bit."""
+    a, b, ids = system
+    got, want = _clean_rows(a, b, ids), clean_rows_loop(a, b, ids)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert got[2] == want[2]
+    if a.shape[1] == 2:
+        assert _polygon_area(a, b) == polygon_area_loop(a, b)
+        if want is not None:
+            assert _polygon_area(want[0], want[1]) == polygon_area_loop(want[0], want[1])
 
 
 class TestHullOracle:

@@ -104,6 +104,61 @@ def test_infeasible_systems_carry_a_farkas_certificate(data):
     assert float(y @ b) < 0.0
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_simplex_matches_highs(data):
+    """Status and optimum agree with scipy's HiGHS, whether phase 1 starts
+    feasible (every b >= 0, no equality) or must drive artificials out."""
+    from scipy.optimize import linprog
+
+    n = data.draw(st.integers(1, 4))
+    kind = data.draw(st.sampled_from(["mixed", "around_point", "origin_feasible"]))
+    m_ub = data.draw(st.integers(0, 8))
+    m_eq = 0 if kind == "origin_feasible" else data.draw(st.integers(0, 2))
+    entry = st.integers(-4, 4)
+    a = np.array([[data.draw(entry) for _ in range(n)] for _ in range(m_ub + m_eq)], dtype=float)
+    a = a.reshape(m_ub + m_eq, n)
+    if kind == "mixed":
+        b = np.array([data.draw(st.integers(-8, 3)) for _ in range(m_ub + m_eq)], dtype=float)
+    elif kind == "around_point":
+        x0 = np.array([data.draw(st.integers(-3, 3)) for _ in range(n)], dtype=float)
+        slack = np.array([data.draw(st.integers(0, 3)) for _ in range(m_ub)] + [0] * m_eq)
+        b = a @ x0 + slack
+    else:
+        b = np.array([data.draw(st.integers(0, 6)) for _ in range(m_ub)], dtype=float)
+    c = np.array([data.draw(entry) for _ in range(n)], dtype=float)
+    a_ub, b_ub, a_eq, b_eq = a[:m_ub], b[:m_ub], a[m_ub:], b[m_ub:]
+
+    res = simplex_max(c, a_ub, b_ub, a_eq, b_eq)
+
+    highs = dict(
+        A_ub=a_ub if m_ub else None,
+        b_ub=b_ub if m_ub else None,
+        A_eq=a_eq if m_eq else None,
+        b_eq=b_eq if m_eq else None,
+        bounds=[(None, None)] * n,
+        method="highs",
+    )
+    # A zero objective settles feasibility alone, so "infeasible or
+    # unbounded" never needs telling apart.
+    feasible = linprog(np.zeros(n), **highs)
+    assert feasible.status in (0, 2)
+    if feasible.status == 2:
+        assert res.status is LpStatus.INFEASIBLE
+        return
+    ref = linprog(-c, **highs)
+    assert ref.status in (0, 3)
+    if ref.status == 3:
+        assert res.status is LpStatus.UNBOUNDED
+        return
+    assert res.status is LpStatus.OPTIMAL
+    assert res.value == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
+    if m_ub:
+        assert np.all(a_ub @ res.point <= b_ub + 1e-7)
+    if m_eq:
+        assert np.allclose(a_eq @ res.point, b_eq, atol=1e-7)
+
+
 class TestPolytopeHelpers:
     def test_optimize_over_cube(self):
         p = cube(3)

@@ -9,7 +9,7 @@ volume computation, or integer lattice-point counting.
 """
 from .bunches import enumerate_bunches
 from .count import count_integer_points
-from .driver import RunReport, TwoRoundPlan, load_formula, run, two_round_sizes
+from .driver import RunReport, load_formula, run, two_round_sizes
 from .errors import (
     BackendError,
     NumericalError,
@@ -56,7 +56,6 @@ __all__ = [
     "RunReport",
     "SolverConfig",
     "TimeoutExceeded",
-    "TwoRoundPlan",
     "UnboundedError",
     "UsageError",
     "VolcountError",

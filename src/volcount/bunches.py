@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import check_deadline
 from .lp import LpStatus, lp_feasible
-from .model import Bunch, Formula, RowKind, SolverConfig, box_constraints, literal_row
+from .model import Bunch, Cmp, Formula, SolverConfig, box_constraints, literal_row
 
 Literal = tuple[int, bool]
 
@@ -60,11 +60,10 @@ class TheoryRows:
         self.eq_of: dict[Literal, int] = {}
         for var in sorted(formula.atom_map):
             for polarity in (False, True):
-                shaped = literal_row(formula.atom_map[var], polarity)
-                if shaped[0] == "neq" or shaped[1].is_tautology:
+                constraint = literal_row(formula.atom_map[var], polarity)
+                if constraint is None or constraint.is_tautology:
                     continue
-                constraint = shaped[1]
-                where = self.eq_of if shaped[2] is RowKind.EQ else self.ub_of
+                where = self.eq_of if constraint.op is Cmp.EQ else self.ub_of
                 where[(var, polarity)] = len(rows)
                 self.owner.append((var, polarity))
                 if constraint.is_contradiction and where is self.ub_of:
@@ -74,7 +73,7 @@ class TheoryRows:
                     rows.append([float(c) for c in constraint.coeffs])
                     self.rhs.append(float(constraint.rhs))
         box_start = len(rows)
-        for constraint, _ in box_constraints(n, config.word_length):
+        for constraint in box_constraints(n, config.word_length):
             rows.append([float(c) for c in constraint.coeffs])
             self.rhs.append(float(constraint.rhs))
             self.owner.append(None)

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .errors import UnboundedError, check_deadline
 from . import lp
-from .model import Cmp, LinearConstraint, PolyRow, Polytope, RowKind
+from .model import Cmp, LinearConstraint, Polytope
 
 
 def strict_to_closed(rhs: Fraction) -> Fraction:
@@ -69,10 +69,10 @@ def count_integer_points(
     rows: list[tuple[dict, int]] = []
     for row in p.rows:
         coeffs, rhs = _integer_row(row.coeffs, row.rhs)
-        if row.kind is RowKind.LE_STRICT:
+        if row.strict:
             rhs = int(strict_to_closed(Fraction(rhs)))
         rows.append((coeffs, rhs))
-        if row.kind is RowKind.EQ:
+        if row.op is Cmp.EQ:
             rows.append(({v: -c for v, c in coeffs.items()}, -rhs))
 
     neqs: list[tuple[dict, int]] = []
@@ -221,14 +221,14 @@ def _lp_bounds(rows, intervals, var):
     poly_rows = []
     for coeffs, rhs in rows:
         vec = tuple(Fraction(coeffs.get(v, 0)) for v in var_list)
-        poly_rows.append(PolyRow(vec, Fraction(rhs), RowKind.LE))
+        poly_rows.append(LinearConstraint(vec, Cmp.LE, Fraction(rhs)))
     for v in var_list:
         lo, hi = intervals[v]
         unit = tuple(Fraction(int(u == v)) for u in var_list)
         if hi is not None:
-            poly_rows.append(PolyRow(unit, Fraction(hi), RowKind.LE))
+            poly_rows.append(LinearConstraint(unit, Cmp.LE, Fraction(hi)))
         if lo is not None:
-            poly_rows.append(PolyRow(tuple(-u for u in unit), Fraction(-lo), RowKind.LE))
+            poly_rows.append(LinearConstraint(tuple(-u for u in unit), Cmp.LE, Fraction(-lo)))
     poly = Polytope(tuple(poly_rows), n)
     try:
         bounds = lp.integer_bounds(poly, pos[var])

@@ -36,24 +36,18 @@ _BACKEND_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class TwoRoundPlan:
+def two_round_sizes(
+    volumes: Sequence[float], smin: int, smax: int
+) -> tuple[Optional[int], ...]:
     """Second-round sample sizes, proportional to first-round volumes.
 
     A bunch whose proportional share would not beat the first-round size is
     skipped (None) and keeps its first-round value; everything else gets
     between smin (exclusive) and smax (inclusive) samples per phase.
     """
-
-    smin: int
-    smax: int
-    sizes: tuple[Optional[int], ...]
-
-
-def two_round_sizes(volumes: Sequence[float], smin: int, smax: int) -> TwoRoundPlan:
     vmax = max(volumes, default=0.0)
     if vmax <= 0.0:
-        return TwoRoundPlan(smin, smax, tuple(None for _ in volumes))
+        return tuple(None for _ in volumes)
     sizes: list[Optional[int]] = []
     for v in volumes:
         raw = 2.0 * smax * (v / vmax)
@@ -61,7 +55,7 @@ def two_round_sizes(volumes: Sequence[float], smin: int, smax: int) -> TwoRoundP
             sizes.append(None)
         else:
             sizes.append(min(math.ceil(raw), smax))
-    return TwoRoundPlan(smin, smax, tuple(sizes))
+    return tuple(sizes)
 
 
 @dataclass
@@ -252,17 +246,11 @@ def run(config: SolverConfig, formula: Formula, input_name: str = "") -> RunRepo
 
 
 def _run_simple(key: str, outcomes, geometry, worker: Callable) -> None:
-    def guarded(item):
+    for outcome, item in zip(outcomes, geometry):
         try:
-            return worker(item), None
+            outcome.values[key] = worker(item)
         except BackendError as exc:
-            return None, str(exc)
-
-    for outcome, (value, err) in zip(outcomes, map(guarded, geometry)):
-        if err is None:
-            outcome.values[key] = value
-        else:
-            outcome.errors[key] = err
+            outcome.errors[key] = str(exc)
 
 
 def _run_estimate(config, n, outcomes, geometry, deadline) -> Optional[dict]:
@@ -301,7 +289,7 @@ def _run_estimate(config, n, outcomes, geometry, deadline) -> Optional[dict]:
 
     first = [round_one(poly, i) for i, (poly, _) in enumerate(geometry)]
     volumes = [v for v, _, _, _ in first]
-    plan = two_round_sizes(volumes, smin, smax)
+    sizes = two_round_sizes(volumes, smin, smax)
 
     def round_two(index, rounded, size):
         try:
@@ -318,9 +306,9 @@ def _run_estimate(config, n, outcomes, geometry, deadline) -> Optional[dict]:
         return result.volume, result.ledger.fresh_total, None
 
     second = {
-        i: round_two(i, first[i][1], plan.sizes[i])
+        i: round_two(i, first[i][1], sizes[i])
         for i in range(len(outcomes))
-        if plan.sizes[i] is not None and first[i][1] is not None and first[i][3] is None
+        if sizes[i] is not None and first[i][1] is not None and first[i][3] is None
     }
 
     used_coeffs = []
@@ -338,7 +326,7 @@ def _run_estimate(config, n, outcomes, geometry, deadline) -> Optional[dict]:
         else:
             outcome.values[key] = volume
         samples1 = smin if rounded is not None else 0
-        samples2 = plan.sizes[i] if round2 is not None else 0
+        samples2 = sizes[i] if round2 is not None else 0
         fresh = fresh1 + (round2[1] if round2 is not None else 0)
         outcome.sampling = {
             "round1": samples1,

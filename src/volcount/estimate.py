@@ -87,9 +87,6 @@ class RoundedPolytope:
         object.__setattr__(self, "row_norms", np.linalg.norm(self.a, axis=1))
         object.__setattr__(self, "a_t", np.ascontiguousarray(self.a.T))
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.a @ x <= self.b + tol))
-
 
 _MAX_CUT_ITERS = 200_000
 _DET_CHECK_EVERY = 16
@@ -102,7 +99,9 @@ def round_polytope(p: Polytope, deadline: Optional[float] = None) -> Optional[Ro
     Returns None when the body has (numerically) no volume: empty, flat, or
     squeezed below the flatness threshold.  Raises UnboundedError when the
     body is unbounded, so callers must bound variables (word-length box)
-    before estimating.
+    before estimating, and NumericalError when the rounding ellipsoid loses
+    positive definiteness or does not converge: a body that fails to round
+    is an error, never volume 0.
     """
     if p.contradictory or p.n == 0:
         return None
@@ -152,7 +151,9 @@ def round_polytope(p: Polytope, deadline: Optional[float] = None) -> Optional[Ro
         iters += 1
         if iters % _DET_CHECK_EVERY == 0:
             sign, logdet = np.linalg.slogdet(ell.shape)
-            if sign <= 0 or logdet < log_det_floor:
+            if sign <= 0:
+                raise NumericalError("rounding ellipsoid lost positive definiteness")
+            if logdet < log_det_floor:
                 return None
         if iters > _MAX_CUT_ITERS:
             raise NumericalError("ellipsoid rounding did not converge")
@@ -161,7 +162,7 @@ def round_polytope(p: Polytope, deadline: Optional[float] = None) -> Optional[Ro
         chol = np.linalg.cholesky(ell.shape)
     except np.linalg.LinAlgError:
         sign, logdet = np.linalg.slogdet(ell.shape)
-        if sign <= 0 or logdet < log_det_floor:
+        if sign > 0 and logdet < log_det_floor:
             return None
         raise NumericalError("rounding ellipsoid not positive definite") from None
 

@@ -33,7 +33,7 @@ from .lp import LpStatus, chebyshev_center, lp_optimize
 # The recursion's emptiness LP; perfbench traces it under this name as
 # exact.linprog.
 from .lp import lp_feasible as linprog
-from .model import Polytope, RowKind
+from .model import Cmp, Polytope
 
 _ZERO_TOL = 1e-12
 _CONSTANT_ROW_TOL = 1e-9
@@ -52,7 +52,7 @@ def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
         return 0.0
     if p.n == 0:
         return 1.0
-    if any(row.kind is RowKind.EQ for row in p.rows):
+    if any(row.op is Cmp.EQ for row in p.rows):
         return 0.0
 
     # Boundedness probe; also catches emptiness before the recursion starts.
@@ -70,8 +70,7 @@ def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
     if rho <= 0.0:
         return 0.0
 
-    a = np.array([[float(c) for c in row.coeffs] for row in p.rows], dtype=float)
-    b = np.array([float(row.rhs) for row in p.rows], dtype=float)
+    a, b, _, _ = p.split_arrays()
     rows = _clean_rows(a, b, tuple(range(len(b))))
     if rows is None:
         return 0.0

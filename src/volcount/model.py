@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,18 +25,6 @@ class Cmp(Enum):
     EQ = "="
 
 
-class RowKind(Enum):
-    """Role of a polytope row.
-
-    NEQ rows never enter a polytope; disequalities are kept in a separate
-    deferred list and only matter to the integer-counting backend.
-    """
-
-    LE = "le"
-    LE_STRICT = "lt"
-    EQ = "eq"
-
-
 class NumericKind(Enum):
     INT = "Int"
     REAL = "Real"
@@ -46,9 +34,6 @@ class Backend(Enum):
     ESTIMATE = "estimate"
     EXACT_VOLUME = "exact_volume"
     INTEGER_COUNT = "integer_count"
-
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -78,19 +63,6 @@ class LinearConstraint:
     def is_contradiction(self) -> bool:
         """True when the row can never hold (all-zero coefficients, fails)."""
         return self.is_zero_row and not _zero_row_holds(self.op, self.rhs, self.strict)
-
-    def evaluate(self, point: Sequence[Rational]) -> bool:
-        """Exact truth value of the constraint at a rational point."""
-        lhs = sum((c * p for c, p in zip(self.coeffs, point)), start=Fraction(0))
-        if self.op is Cmp.LT:
-            return lhs < self.rhs
-        if self.op is Cmp.LE:
-            return lhs < self.rhs if self.strict else lhs <= self.rhs
-        if self.op is Cmp.GT:
-            return lhs > self.rhs
-        if self.op is Cmp.GE:
-            return lhs >= self.rhs
-        return lhs == self.rhs
 
 
 def _zero_row_holds(op: Cmp, rhs: Fraction, strict: bool) -> bool:
@@ -197,30 +169,31 @@ def bunch_multiplier(bunch: Bunch) -> int:
     return 1 << bunch.free_user_bool_count
 
 
-@dataclass(frozen=True)
-class PolyRow:
-    """One canonical row ``coeffs . x (<|<=|=) rhs`` of a polytope."""
-
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
-    kind: RowKind
+def _float_arrays(rows: Sequence[LinearConstraint], n: int) -> tuple[np.ndarray, np.ndarray]:
+    a = np.array([[float(c) for c in row.coeffs] for row in rows], dtype=float)
+    return a.reshape(len(rows), n), np.array([float(row.rhs) for row in rows], dtype=float)
 
 
 @dataclass(frozen=True)
 class Polytope:
-    """A conjunction of canonical linear rows over ``n`` numeric variables.
+    """A conjunction of canonical linear constraints over ``n`` numeric
+    variables.
 
-    ``contradictory`` marks polytopes recognized as empty during
-    construction (a constant row that fails); backends short-circuit on it.
+    Each row is a :class:`LinearConstraint` whose ``op`` is LE (with
+    ``strict`` telling ``<`` from ``<=``) or EQ; the rows that
+    :func:`make_polytope` keeps are canonical.  ``contradictory`` marks
+    polytopes recognized as empty during construction (a constant row that
+    fails, or two equalities with the same coefficients and different
+    right-hand sides); backends short-circuit on it.
     """
 
-    rows: tuple[PolyRow, ...]
+    rows: tuple[LinearConstraint, ...]
     n: int
     contradictory: bool = False
 
     def inequality_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float (A, b) for the inequality relaxation: LE and strict-LE rows
-        plus EQ rows expanded into opposite pairs."""
+        """Float (A, b) for the inequality relaxation: every row in order,
+        each EQ row followed by its opposite ``-a . x <= -b``."""
         a_rows: list[list[float]] = []
         b_vals: list[float] = []
         for row in self.rows:
@@ -228,119 +201,88 @@ class Polytope:
             rhs = float(row.rhs)
             a_rows.append(coeffs)
             b_vals.append(rhs)
-            if row.kind is RowKind.EQ:
+            if row.op is Cmp.EQ:
                 a_rows.append([-c for c in coeffs])
                 b_vals.append(-rhs)
-        if not a_rows:
-            return np.zeros((0, self.n)), np.zeros(0)
-        return np.array(a_rows, dtype=float), np.array(b_vals, dtype=float)
+        a = np.array(a_rows, dtype=float).reshape(len(b_vals), self.n)
+        return a, np.array(b_vals, dtype=float)
 
     def split_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Float (A_ub, b_ub, A_eq, b_eq) keeping equality rows as equalities."""
-        ub_a: list[list[float]] = []
-        ub_b: list[float] = []
-        eq_a: list[list[float]] = []
-        eq_b: list[float] = []
-        for row in self.rows:
-            coeffs = [float(c) for c in row.coeffs]
-            if row.kind is RowKind.EQ:
-                eq_a.append(coeffs)
-                eq_b.append(float(row.rhs))
-            else:
-                ub_a.append(coeffs)
-                ub_b.append(float(row.rhs))
-        to_arr = lambda rows, width: (
-            np.array(rows, dtype=float) if rows else np.zeros((0, width))
-        )
-        return (
-            to_arr(ub_a, self.n),
-            np.array(ub_b, dtype=float),
-            to_arr(eq_a, self.n),
-            np.array(eq_b, dtype=float),
-        )
+        """Float (A_ub, b_ub, A_eq, b_eq) keeping equality rows as equalities;
+        strict rows are read as their closures."""
+        ub = [row for row in self.rows if row.op is not Cmp.EQ]
+        eq = [row for row in self.rows if row.op is Cmp.EQ]
+        return (*_float_arrays(ub, self.n), *_float_arrays(eq, self.n))
 
 
-def make_polytope(constraints: Iterable[tuple[LinearConstraint, RowKind]], n: int) -> Polytope:
-    """Assemble a polytope from canonical constraints, dropping tautologies,
-    deduplicating parallel duplicates (keeping the tightest), and marking the
-    result contradictory when a constant row fails."""
+def make_polytope(constraints: Iterable[LinearConstraint], n: int) -> Polytope:
+    """Assemble a polytope from canonical constraints, which become its rows.
+
+    Tautologies are dropped.  Of parallel duplicates (same coefficients)
+    only the tightest survives: among LE rows the smaller right-hand side,
+    and on a tie the strict row; equal equalities collapse into one.  A
+    constant row that fails, or two equalities with the same coefficients
+    and different right-hand sides, mark the result contradictory.  Rows
+    keep the order of first appearance.
+    """
     contradictory = False
-    # Keyed by (coeffs, kind-class); LE and strict LE share a key so the
-    # tighter of the two survives.
-    best_le: dict[tuple[Fraction, ...], tuple[Fraction, bool]] = {}
-    eq_rows: dict[tuple[Fraction, ...], Fraction] = {}
-    order: list[tuple[tuple[Fraction, ...], RowKind]] = []
-    for c, kind in constraints:
+    best_le: dict[tuple[Fraction, ...], LinearConstraint] = {}
+    eq_rows: dict[tuple[Fraction, ...], LinearConstraint] = {}
+    order: list[tuple[dict, tuple[Fraction, ...]]] = []
+    for c in constraints:
         if c.is_tautology:
             continue
         if c.is_contradiction:
             contradictory = True
             continue
-        if kind is RowKind.EQ:
-            prev = eq_rows.get(c.coeffs)
-            if prev is None:
-                eq_rows[c.coeffs] = c.rhs
-                order.append((c.coeffs, RowKind.EQ))
-            elif prev != c.rhs:
-                contradictory = True
-        else:
-            strict = kind is RowKind.LE_STRICT
-            prev = best_le.get(c.coeffs)
-            if prev is None:
-                best_le[c.coeffs] = (c.rhs, strict)
-                order.append((c.coeffs, RowKind.LE))
-            else:
-                prhs, pstrict = prev
-                if c.rhs < prhs or (c.rhs == prhs and strict and not pstrict):
-                    best_le[c.coeffs] = (c.rhs, strict)
-    rows: list[PolyRow] = []
-    for coeffs, marker in order:
-        if marker is RowKind.EQ:
-            rows.append(PolyRow(coeffs, eq_rows[coeffs], RowKind.EQ))
-        else:
-            rhs, strict = best_le[coeffs]
-            rows.append(PolyRow(coeffs, rhs, RowKind.LE_STRICT if strict else RowKind.LE))
-    return Polytope(tuple(rows), n, contradictory)
+        kept = eq_rows if c.op is Cmp.EQ else best_le
+        prev = kept.get(c.coeffs)
+        if prev is None:
+            kept[c.coeffs] = c
+            order.append((kept, c.coeffs))
+        elif c.op is Cmp.EQ:
+            contradictory |= c.rhs != prev.rhs
+        elif c.rhs < prev.rhs or (c.rhs == prev.rhs and c.strict and not prev.strict):
+            kept[c.coeffs] = c
+    return Polytope(tuple(kept[coeffs] for kept, coeffs in order), n, contradictory)
 
 
-def literal_row(constraint: LinearConstraint, polarity: bool):
-    """Geometry of one theory literal.
+def literal_row(constraint: LinearConstraint, polarity: bool) -> Optional[LinearConstraint]:
+    """The polytope row of one theory literal: the constraint itself when
+    the literal is positive, and its complement ``-a . x (<|<=) -b`` (strict
+    flipped) when it is a negated inequality.
 
-    Returns ``("row", constraint, kind)`` for a polytope row, or
-    ``("neq", constraint)`` when the literal is a negated equality, which must
-    be deferred (it removes a measure-zero set and only matters to counting).
-    The input must be canonical; the output constraint is canonical too
-    (negating coprime integers keeps them coprime integers).
+    Returns None for a negated equality: it removes a measure-zero set, so
+    the caller defers the constraint, which only matters to counting.  The
+    input must be canonical; the output is canonical too (negating coprime
+    integers keeps them coprime integers).
     """
     if polarity:
-        if constraint.op is Cmp.EQ:
-            return ("row", constraint, RowKind.EQ)
-        kind = RowKind.LE_STRICT if constraint.strict else RowKind.LE
-        return ("row", constraint, kind)
+        return constraint
     if constraint.op is Cmp.EQ:
-        return ("neq", constraint)
-    flipped = LinearConstraint(
+        return None
+    return LinearConstraint(
         tuple(-c for c in constraint.coeffs),
         Cmp.LE,
         -constraint.rhs,
         strict=not constraint.strict,
     )
-    kind = RowKind.LE_STRICT if flipped.strict else RowKind.LE
-    return ("row", flipped, kind)
 
 
-def box_constraints(n: int, word_length: int) -> list[tuple[LinearConstraint, RowKind]]:
-    """Two's-complement style bounding box: -2**(w-1) <= x_j <= 2**(w-1)-1."""
+def box_constraints(n: int, word_length: int) -> list[LinearConstraint]:
+    """Two's-complement style bounding box -2**(w-1) <= x_j <= 2**(w-1)-1,
+    as canonical rows ``x_j <= hi`` and ``-x_j <= -lo`` for each variable in
+    turn; empty when the word length is 0."""
     if word_length <= 0:
         return []
     lo = -(1 << (word_length - 1))
     hi = (1 << (word_length - 1)) - 1
-    out: list[tuple[LinearConstraint, RowKind]] = []
+    out: list[LinearConstraint] = []
     for j in range(n):
         unit = tuple(Fraction(int(i == j)) for i in range(n))
         neg = tuple(-u for u in unit)
-        out.append((LinearConstraint(unit, Cmp.LE, Fraction(hi)), RowKind.LE))
-        out.append((LinearConstraint(neg, Cmp.LE, Fraction(-lo)), RowKind.LE))
+        out.append(LinearConstraint(unit, Cmp.LE, Fraction(hi)))
+        out.append(LinearConstraint(neg, Cmp.LE, Fraction(-lo)))
     return out
 
 
@@ -355,19 +297,19 @@ def bunch_polytope(
     nothing is ever dropped besides exact duplicates and tautologies.
     """
     n = formula.num_numeric_vars
-    items: list[tuple[LinearConstraint, RowKind]] = []
+    rows: list[LinearConstraint] = []
     deferred: list[LinearConstraint] = []
     for var in sorted(bunch.assignment):
         constraint = formula.atom_map.get(var)
         if constraint is None:
             continue
-        shaped = literal_row(constraint, bunch.assignment[var])
-        if shaped[0] == "neq":
-            deferred.append(shaped[1])
+        row = literal_row(constraint, bunch.assignment[var])
+        if row is None:
+            deferred.append(constraint)
         else:
-            items.append((shaped[1], shaped[2]))
-    items.extend(box_constraints(n, config.word_length))
-    return make_polytope(items, n), deferred
+            rows.append(row)
+    rows.extend(box_constraints(n, config.word_length))
+    return make_polytope(rows, n), deferred
 
 
 class OutputMode(Enum):

@@ -18,7 +18,6 @@ from .model import (
     Formula,
     LinearConstraint,
     NumericKind,
-    RowKind,
     normalize_constraint,
 )
 

@@ -19,8 +19,6 @@ from volcount.model import (
     Formula,
     NumericKind,
     Polytope,
-    PolyRow,
-    RowKind,
     make_polytope,
     normalize_constraint,
 )
@@ -35,12 +33,22 @@ def ineq(coeffs, rhs, op=Cmp.LE) -> LinearConstraint:
     return normalize_constraint(LinearConstraint(frac, op, Fraction(rhs)))
 
 
-def poly(ineqs, n: int) -> Polytope:
-    items = []
-    for c in ineqs:
-        kind = RowKind.LE_STRICT if c.strict else (RowKind.EQ if c.op is Cmp.EQ else RowKind.LE)
-        items.append((c, kind))
-    return make_polytope(items, n)
+poly = make_polytope
+
+
+def row_holds(row: LinearConstraint, point) -> bool:
+    """Exact truth value of a constraint, canonical or raw, at a rational
+    point: LE is strict when ``row.strict`` is set, LT and GT always are."""
+    lhs = sum((c * x for c, x in zip(row.coeffs, point)), start=Fraction(0))
+    if row.op is Cmp.EQ:
+        return lhs == row.rhs
+    if row.op is Cmp.LT or (row.op is Cmp.LE and row.strict):
+        return lhs < row.rhs
+    if row.op is Cmp.LE:
+        return lhs <= row.rhs
+    if row.op is Cmp.GT:
+        return lhs > row.rhs
+    return lhs >= row.rhs
 
 
 def cube(n: int, lo=-1, hi=1) -> Polytope:
@@ -64,6 +72,21 @@ def simplex(n: int, scale=1) -> Polytope:
 
 def cross_polytope(n: int) -> Polytope:
     rows = [ineq(signs, 1) for signs in itertools.product((-1, 1), repeat=n)]
+    return poly(rows, n)
+
+
+def sheared_cube(n: int, k: int) -> Polytope:
+    """S(n, k) = {|x_j + k x_(j+1)| <= 1 for j < n, |x_n| <= 1}: the image of
+    [-1, 1]^n under a unimodular integer map, so its volume is 2^n and it
+    holds 3^n integer points, however ill-conditioned a large k makes it."""
+    rows = []
+    for j in range(n):
+        row = [0] * n
+        row[j] = 1
+        if j + 1 < n:
+            row[j + 1] = k
+        rows.append(ineq(row, 1))
+        rows.append(ineq([-c for c in row], 1))
     return poly(rows, n)
 
 
@@ -94,7 +117,7 @@ def threshold_slab(k: int, width: int = 1024) -> Formula:
 def polygon_area_2d(p: Polytope) -> Fraction:
     """Exact area of a bounded 2D polytope via pairwise row intersection,
     exact feasibility filtering, and the shoelace formula."""
-    rows = [(tuple(r.coeffs), r.rhs) for r in p.rows if r.kind is not RowKind.EQ]
+    rows = [(tuple(r.coeffs), r.rhs) for r in p.rows if r.op is not Cmp.EQ]
     verts: list[tuple[Fraction, Fraction]] = []
     for (a1, b1), (a2, b2) in itertools.combinations(rows, 2):
         det = a1[0] * a2[1] - a1[1] * a2[0]
@@ -190,15 +213,6 @@ def polygon_area_loop(a: np.ndarray, b: np.ndarray) -> float:
 # integer-point counting by grid walk (exact integer row evaluation)
 
 
-def row_holds(row: PolyRow, point) -> bool:
-    lhs = sum((c * x for c, x in zip(row.coeffs, point)), start=Fraction(0))
-    if row.kind is RowKind.EQ:
-        return lhs == row.rhs
-    if row.kind is RowKind.LE_STRICT:
-        return lhs < row.rhs
-    return lhs <= row.rhs
-
-
 def _integer_form(coeffs, rhs) -> tuple[tuple[tuple[int, int], ...], int]:
     """A rational row scaled to integers by the lcm of its denominators, as
     (nonzero (index, coefficient) pairs, rhs)."""
@@ -215,10 +229,10 @@ def grid_count(p: Polytope, lo: int, hi: int, neqs=()) -> int:
     rows = []  # (terms, least lhs, greatest lhs)
     for row in p.rows:
         terms, rhs = _integer_form(row.coeffs, row.rhs)
-        if row.kind is RowKind.EQ:
+        if row.op is Cmp.EQ:
             rows.append((terms, rhs, rhs))
         else:
-            rows.append((terms, None, rhs - 1 if row.kind is RowKind.LE_STRICT else rhs))
+            rows.append((terms, None, rhs - 1 if row.strict else rhs))
     holes = [_integer_form(q.coeffs, q.rhs) for q in neqs]
     count = 0
     for point in itertools.product(range(lo, hi + 1), repeat=p.n):
@@ -269,7 +283,7 @@ def formula_solution_count(formula: Formula, lo: int, hi: int) -> int:
             pt = tuple(Fraction(v) for v in point)
             ok = True
             for var, constraint in formula.atom_map.items():
-                if assignment[var] != constraint.evaluate(pt):
+                if assignment[var] != row_holds(constraint, pt):
                     ok = False
                     break
             if ok:

@@ -205,9 +205,9 @@ def closure_feasible(literals, formula, config):
 
     items = []
     for var, value in literals:
-        shaped = literal_row(formula.atom_map[var], value)
-        if shaped[0] == "row":
-            items.append((shaped[1], shaped[2]))
+        row = literal_row(formula.atom_map[var], value)
+        if row is not None:
+            items.append(row)
     items.extend(box_constraints(formula.num_numeric_vars, config.word_length))
     p = make_polytope(items, formula.num_numeric_vars)
     if p.contradictory:

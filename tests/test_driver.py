@@ -50,41 +50,37 @@ class TestTwoRoundSizes:
     SMAX = 1000
 
     def test_large_shares_are_clamped_to_smax(self):
-        plan = two_round_sizes([10.0, 5.0], self.SMIN, self.SMAX)
-        assert plan.sizes == (self.SMAX, self.SMAX)
+        sizes = two_round_sizes([10.0, 5.0], self.SMIN, self.SMAX)
+        assert sizes == (self.SMAX, self.SMAX)
 
     def test_share_below_first_round_rate_is_skipped(self):
         small = 10.0 * (self.SMIN / (2.0 * self.SMAX)) * 0.99
-        plan = two_round_sizes([10.0, small], self.SMIN, self.SMAX)
-        assert plan.sizes == (self.SMAX, None)
+        sizes = two_round_sizes([10.0, small], self.SMIN, self.SMAX)
+        assert sizes == (self.SMAX, None)
 
     def test_share_exactly_at_first_round_rate_is_skipped(self):
         boundary = 10.0 * (self.SMIN / (2.0 * self.SMAX))
-        plan = two_round_sizes([10.0, boundary], self.SMIN, self.SMAX)
-        assert plan.sizes == (self.SMAX, None)
+        sizes = two_round_sizes([10.0, boundary], self.SMIN, self.SMAX)
+        assert sizes == (self.SMAX, None)
 
     def test_single_bunch_gets_smax(self):
-        plan = two_round_sizes([7.0], self.SMIN, self.SMAX)
-        assert plan.sizes == (self.SMAX,)
+        sizes = two_round_sizes([7.0], self.SMIN, self.SMAX)
+        assert sizes == (self.SMAX,)
 
     def test_intermediate_share_rounds_up(self):
         v = 10.0 * (self.SMIN * 1.01) / (2.0 * self.SMAX)
-        plan = two_round_sizes([10.0, v], self.SMIN, self.SMAX)
+        sizes = two_round_sizes([10.0, v], self.SMIN, self.SMAX)
         expected = math.ceil(2.0 * self.SMAX * v / 10.0)
-        assert plan.sizes == (self.SMAX, expected)
+        assert sizes == (self.SMAX, expected)
         assert self.SMIN < expected <= self.SMAX
 
     def test_all_zero_volumes_skip_everything(self):
-        plan = two_round_sizes([0.0, 0.0, 0.0], self.SMIN, self.SMAX)
-        assert plan.sizes == (None, None, None)
+        sizes = two_round_sizes([0.0, 0.0, 0.0], self.SMIN, self.SMAX)
+        assert sizes == (None, None, None)
 
     def test_empty_input(self):
-        plan = two_round_sizes([], self.SMIN, self.SMAX)
-        assert plan.sizes == ()
-
-    def test_plan_echoes_rates(self):
-        plan = two_round_sizes([1.0], self.SMIN, self.SMAX)
-        assert (plan.smin, plan.smax) == (self.SMIN, self.SMAX)
+        sizes = two_round_sizes([], self.SMIN, self.SMAX)
+        assert sizes == ()
 
 
 class TestTotals:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from volcount.errors import UnboundedError
+from volcount.errors import NumericalError, UnboundedError
 from volcount.estimate import (
     CHAINS,
     Chains,
@@ -22,7 +22,7 @@ from volcount.estimate import (
 from volcount.exact import exact_volume
 from volcount.model import make_polytope
 
-from oracles import ball_volume, ineq, poly
+from oracles import ball_volume, ineq, poly, sheared_cube
 
 
 def box_poly(bounds):
@@ -151,6 +151,13 @@ class TestRounding:
 
     def test_zero_dim_returns_none(self):
         assert round_polytope(make_polytope([], 0)) is None
+
+    @pytest.mark.parametrize("n, k", [(6, 30), (12, 6)])
+    def test_lost_definiteness_raises(self, n, k):
+        # The explicit-form shallow-cut update loses positive definiteness
+        # on these bodies of volume 2^n; that must not read as volume 0.
+        with pytest.raises(NumericalError):
+            round_polytope(sheared_cube(n, k))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_random_bodies_meet_contract(self, n):

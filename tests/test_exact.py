@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import volcount
 from volcount.errors import UnboundedError
 from volcount.exact import _clean_rows, _polygon_area, exact_volume
-from volcount.model import Cmp, RowKind, make_polytope
+from volcount.model import Cmp, make_polytope
 
 from oracles import (
     clean_rows_loop,
@@ -225,10 +225,7 @@ class TestDegenerate:
         assert exact_volume(poly(rows, 2)) == 0.0
 
     def test_contradictory_is_zero(self):
-        q = make_polytope(
-            [(ineq([1, 1], 0, Cmp.EQ), RowKind.EQ), (ineq([1, 1], 1, Cmp.EQ), RowKind.EQ)],
-            2,
-        )
+        q = make_polytope([ineq([1, 1], 0, Cmp.EQ), ineq([1, 1], 1, Cmp.EQ)], 2)
         assert q.contradictory
         assert exact_volume(q) == 0.0
 

@@ -13,7 +13,7 @@ from volcount.lp import (
     lp_optimize,
     simplex_max,
 )
-from volcount.model import Cmp, RowKind, make_polytope
+from volcount.model import Cmp, make_polytope
 
 from oracles import cube, ineq, poly
 
@@ -193,7 +193,7 @@ class TestPolytopeHelpers:
 
     def test_equality_row_forces_flatness(self):
         c = ineq([1, 1], 2, Cmp.EQ)
-        p = make_polytope([(c, RowKind.EQ), (ineq([1, 0], 5), RowKind.LE)], 2)
+        p = make_polytope([c, ineq([1, 0], 5)], 2)
         _, rho = chebyshev_center(p)
         assert abs(rho) <= 1e-7
 

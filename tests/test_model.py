@@ -1,4 +1,5 @@
 """Canonicalization, polytope assembly, and config validation."""
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from volcount.model import (
     Formula,
     LinearConstraint,
     NumericKind,
-    RowKind,
     SolverConfig,
     box_constraints,
     bunch_multiplier,
@@ -23,7 +23,7 @@ from volcount.model import (
     normalize_constraint,
 )
 
-from oracles import ineq
+from oracles import ineq, row_holds
 
 
 def frac(x) -> Fraction:
@@ -107,7 +107,7 @@ def test_normalize_idempotent(c):
 @settings(max_examples=200, deadline=None)
 def test_normalize_preserves_semantics(c, data):
     point = tuple(data.draw(rationals) for _ in c.coeffs)
-    assert c.evaluate(point) == normalize_constraint(c).evaluate(point)
+    assert row_holds(c, point) == row_holds(normalize_constraint(c), point)
 
 
 @given(constraints())
@@ -125,39 +125,74 @@ def test_normalize_integral_and_coprime(c):
 
 class TestMakePolytope:
     def test_parallel_rows_keep_tightest(self):
-        p = make_polytope(
-            [(ineq([1, 0], 5), RowKind.LE), (ineq([1, 0], 3), RowKind.LE)], 2
-        )
+        p = make_polytope([ineq([1, 0], 5), ineq([1, 0], 3)], 2)
         assert len(p.rows) == 1
         assert p.rows[0].rhs == 3
 
     def test_equal_rhs_prefers_strict(self):
         c = ineq([1], 2)
         strict = LinearConstraint(c.coeffs, Cmp.LE, c.rhs, strict=True)
-        p = make_polytope([(c, RowKind.LE), (strict, RowKind.LE_STRICT)], 1)
+        p = make_polytope([c, strict], 1)
         assert len(p.rows) == 1
-        assert p.rows[0].kind is RowKind.LE_STRICT
+        assert p.rows[0].strict
 
     def test_conflicting_equalities_contradict(self):
         a = normalize_constraint(LinearConstraint((frac(1),), Cmp.EQ, frac(1)))
         b = normalize_constraint(LinearConstraint((frac(1),), Cmp.EQ, frac(2)))
-        p = make_polytope([(a, RowKind.EQ), (b, RowKind.EQ)], 1)
+        p = make_polytope([a, b], 1)
         assert p.contradictory
 
     def test_tautologies_dropped_contradictions_flag(self):
         taut = normalize_constraint(LinearConstraint((frac(0),), Cmp.LE, frac(1)))
         contra = normalize_constraint(LinearConstraint((frac(0),), Cmp.LE, frac(-1)))
-        p = make_polytope([(taut, RowKind.LE)], 1)
+        p = make_polytope([taut], 1)
         assert p.rows == () and not p.contradictory
-        p2 = make_polytope([(contra, RowKind.LE), (ineq([1], 4), RowKind.LE)], 1)
+        p2 = make_polytope([contra, ineq([1], 4)], 1)
         assert p2.contradictory
 
     def test_inequality_arrays_expand_equalities(self):
         c = normalize_constraint(LinearConstraint((frac(1), frac(2)), Cmp.EQ, frac(3)))
-        p = make_polytope([(c, RowKind.EQ)], 2)
+        p = make_polytope([c], 2)
         a, b = p.inequality_arrays()
         assert a.shape == (2, 2)
         assert np.allclose(a[0], -a[1]) and b[0] == -b[1]
+
+
+@st.composite
+def row_systems(draw):
+    """Canonical constraints over n <= 3 drawn from a few coefficient
+    vectors (the zero vector can be one) and right-hand sides, so parallel
+    duplicates that mix ``<``, ``<=`` and ``=`` and constant rows that hold
+    or fail are common."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=3))
+    rhs = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+    raw = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(vectors),
+                st.sampled_from([Cmp.LT, Cmp.LE, Cmp.EQ]),
+                st.sampled_from(rhs),
+            ),
+            max_size=8,
+        )
+    )
+    return [ineq(coeffs, b, op) for coeffs, op, b in raw], n
+
+
+# Every point of {-1, -1/2, 0, 1/2, 1}^n: many of them lie on some row.
+HALF_GRID = [Fraction(v, 2) for v in range(-2, 3)]
+
+
+@given(row_systems())
+@settings(max_examples=300, deadline=None)
+def test_make_polytope_keeps_the_solution_set(system):
+    cs, n = system
+    p = make_polytope(cs, n)
+    assert set(p.rows) <= set(cs)
+    for point in itertools.product(HALF_GRID, repeat=n):
+        inside = not p.contradictory and all(row_holds(r, point) for r in p.rows)
+        assert inside == all(row_holds(c, point) for c in cs)
 
 
 @given(constraints(), st.data())
@@ -165,20 +200,18 @@ class TestMakePolytope:
 def test_literal_row_negation_semantics(c, data):
     canon = normalize_constraint(c)
     point = tuple(data.draw(rationals) for _ in canon.coeffs)
-    shaped = literal_row(canon, False)
+    flipped = literal_row(canon, False)
     if canon.op is Cmp.EQ:
-        assert shaped[0] == "neq"
+        assert flipped is None
     else:
-        assert shaped[0] == "row"
-        flipped = shaped[1]
-        assert flipped.evaluate(point) == (not canon.evaluate(point))
+        assert row_holds(flipped, point) == (not row_holds(canon, point))
 
 
 class TestBoxAndBunch:
     def test_box_rows(self):
         rows = box_constraints(2, 8)
         assert len(rows) == 4
-        highs = {tuple(int(c) for c in r.coeffs): int(r.rhs) for r, _ in rows}
+        highs = {tuple(int(c) for c in r.coeffs): int(r.rhs) for r in rows}
         assert highs[(1, 0)] == 127 and highs[(-1, 0)] == 128
 
     def test_box_disabled(self):

@@ -2,14 +2,24 @@
 
 The core works on integer rows ``a . x <= b`` (strict and equality rows are
 rewritten exactly up front) and integer disequalities ``a . x != b``.  It
-alternates three exact reductions:
+alternates four exact reductions:
 
 * interval propagation to a fixpoint — single-variable rows pin or tighten a
   variable exactly; rows satisfied over the whole current box drop out;
 * connected-component split — variables not linked by any remaining row or
   disequality contribute independent factors that multiply;
-* branching on the narrowest bounded variable, with LP-derived integer
-  bounds as a fallback when propagation leaves a variable unbounded.
+* symbolic summation of a component with no disequalities, a finite
+  interval for every variable and only difference rows ``g x_i - g x_j <=
+  b`` (read as ``x_i - x_j <= floor(b / g)``): variables are eliminated one
+  at a time, splitting into cases on which lower and which upper bound
+  binds, and each is summed out of a polynomial weight with Faulhaber's
+  formulas (Pugh, "Counting solutions to Presburger formulas", PLDI 1994).
+  The case conditions are difference rows again, so the weight stays a
+  polynomial; the work depends on the rows, not on the widths of the
+  intervals, and the arithmetic is exact integer and rational;
+* branching on the narrowest bounded variable, for every other component,
+  with LP-derived integer bounds as a fallback when propagation leaves a
+  variable unbounded.
 
 Each component's count is cached on its rows, disequalities and variable
 intervals, in one memo per ``count_integer_points`` call, so a subproblem
@@ -30,7 +40,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import UnboundedError, check_deadline
+from .errors import SummationError, UnboundedError, check_deadline
 from . import lp
 from .model import Cmp, LinearConstraint, Polytope
 
@@ -110,7 +120,10 @@ def _count_core(rows, intervals, neqs, memo, deadline) -> int:
             total *= _free_block(var_group, intervals, neq_group)
             continue
         sub_intervals = {v: intervals[v] for v in var_group}
-        total *= _branch(row_group, sub_intervals, neq_group, memo, deadline)
+        if not neq_group and _is_difference_system(row_group, sub_intervals):
+            total *= _sum_differences(row_group, sub_intervals, memo, deadline)
+        else:
+            total *= _branch(row_group, sub_intervals, neq_group, memo, deadline)
         if total == 0:
             # Other components cannot rescue a zero factor.
             return 0
@@ -237,6 +250,258 @@ def _lp_bounds(rows, intervals, var):
     if bounds is None:
         return None, None
     return bounds
+
+
+def _is_difference_system(rows, intervals) -> bool:
+    """Whether a component can be summed symbolically: every interval is
+    finite and every row bounds one variable or the difference of two
+    (coefficients g and -g)."""
+    if any(lo is None or hi is None for lo, hi in intervals.values()):
+        return False
+    for coeffs, _ in rows:
+        if len(coeffs) == 2:
+            a, b = coeffs.values()
+            if a != -b:
+                return False
+        elif len(coeffs) != 1:
+            return False
+    return True
+
+
+def _sum_differences(rows, intervals, memo, deadline) -> int:
+    """Count a bounded difference system by eliminating its variables one
+    by one and summing the weight over each in closed form.  Results are
+    cached in ``memo`` under the same key as a branched component.
+
+    The system is a closed difference-bound matrix over a constant node 0
+    and one node per variable: ``bound[a][b]`` is the least c implied for
+    ``x_b - x_a <= c``.  A sum that comes out as a non-integer is a fault:
+    it raises SummationError and is never rounded.
+    """
+    key = _key(rows, (), intervals)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    variables = list(intervals)
+    node = {v: k for k, v in enumerate(variables, start=1)}
+    size = len(variables) + 1
+    below = [0] + [-intervals[v][0] for v in variables]
+    above = [0] + [intervals[v][1] for v in variables]
+    # The box alone is already closed; each row is added and closed in turn.
+    bound = [[below[a] + above[b] if a != b else 0 for b in range(size)] for a in range(size)]
+    edges = []
+    for coeffs, rhs in rows:
+        head = tail = 0
+        for v, c in coeffs.items():
+            if c > 0:
+                head, g = node[v], c
+            else:
+                tail, g = node[v], -c
+        edges.append((tail, head, rhs // g))
+    if not all(_tighten(bound, *edge) for edge in edges):
+        total = 0
+    else:
+        weight = {(0,) * len(variables): 1}
+        total = _eliminate(bound, tuple(range(size)), weight, 1, deadline)
+        if total.denominator != 1:
+            raise SummationError(f"symbolic summation gave the non-integer count {total}")
+        total = int(total)
+    memo[key] = total
+    return total
+
+
+def _eliminate(bound, live, weight, scale, deadline) -> Fraction:
+    """Sum the polynomial ``weight / scale`` over the integer points of the
+    closed, consistent difference system ``bound``, whose rows and columns
+    stand for the nodes in ``live`` (``live[0]`` is the constant node).
+
+    ``weight`` is a {exponent tuple: integer coefficient} dict, with the
+    exponent of node k at position k - 1, over the common denominator
+    ``scale``.  ``_cheapest_variable`` picks the variable to sum out.  One
+    case per pair of its binding bounds (largest lower bound ``low``,
+    smallest upper bound ``up``, the earlier bound winning a tie, so that
+    the cases partition the points) adds those conditions as difference
+    rows; a case whose rows form a negative cycle is empty.  In each case
+    the weight is summed over ``[low, up]`` in closed form.  No case needs a
+    condition ``low <= up``: the remaining system is the projection of
+    ``bound``, so it implies that every lower bound lies below every upper
+    bound.
+    """
+    if len(live) == 1:
+        return Fraction(sum(weight.values()), scale)
+    x, lower, upper = _cheapest_variable(bound)
+    keep = [a for a in range(len(live)) if a != x]
+    at = {a: k for k, a in enumerate(keep)}
+    reduced = [[bound[a][b] for b in keep] for a in keep]
+    rest = tuple(live[a] for a in keep)
+    total = Fraction(0)
+    for i, low in enumerate(lower):
+        for j, up in enumerate(upper):
+            check_deadline(deadline)
+            case = [row[:] for row in reduced]
+            # x >= x_y - bound[x][y] for each lower y, x <= x_y + bound[y][x]
+            # for each upper y.
+            if not all(
+                _tighten(case, at[low], at[y], bound[x][y] - bound[x][low] - (k < i))
+                for k, y in enumerate(lower)
+                if y != low
+            ) or not all(
+                _tighten(case, at[y], at[up], bound[y][x] - bound[up][x] - (k < j))
+                for k, y in enumerate(upper)
+                if y != up
+            ):
+                continue
+            summed, summed_scale = _sum_out(
+                weight,
+                scale,
+                live[x],
+                (live[low], -bound[x][low]),
+                (live[up], bound[up][x]),
+            )
+            if summed:
+                total += _eliminate(case, rest, summed, summed_scale, deadline)
+    return total
+
+
+def _cheapest_variable(bound):
+    """The variable to eliminate next, the one with the fewest pairs of
+    binding bounds (the first of equals), with its binding lower and upper
+    bound nodes."""
+    transposed = [list(column) for column in zip(*bound)]
+    best = None
+    for x in range(1, len(bound)):
+        # x <= x_y + bound[y][x] is -x >= -x_y - transposed[x][y]: upper
+        # bounds are the lower bounds of the transposed system.
+        lower = _binding_lower_bounds(bound, x)
+        upper = _binding_lower_bounds(transposed, x)
+        if best is None or len(lower) * len(upper) < len(best[1]) * len(best[2]):
+            best = (x, lower, upper)
+    return best
+
+
+def _binding_lower_bounds(bound, x):
+    """The nodes y whose lower bound ``x >= x_y - bound[x][y]`` can bind.
+    Bound y is dropped when the rest of the system implies it lies at or
+    below bound z, which for a closed system means ``bound[x][z] +
+    bound[z][y] == bound[x][y]``; of bounds that are always equal, the
+    first is kept."""
+    from_x = bound[x]
+    return [
+        y
+        for y in range(len(bound))
+        if y != x
+        and not any(
+            z != x
+            and z != y
+            and from_x[z] + bound[z][y] == from_x[y]
+            and (z < y or from_x[y] + bound[y][z] != from_x[z])
+            for z in range(len(bound))
+        )
+    ]
+
+
+def _tighten(bound, a, b, c) -> bool:
+    """Add ``x_b - x_a <= c`` to the closed system ``bound`` in place and
+    close it again; False when that makes a negative cycle."""
+    if bound[b][a] + c < 0:
+        return False
+    if c < bound[a][b]:
+        row_b = bound[b]
+        for row in bound:
+            via = row[a] + c
+            for k, value in enumerate(row_b):
+                if via + value < row[k]:
+                    row[k] = via + value
+    return True
+
+
+def _sum_out(weight, scale, var, lower, upper):
+    """Sum the polynomial ``weight / scale`` over ``x_var`` from ``lower``
+    to ``upper``; returns the result as a new (weight, scale) pair.
+
+    Each end is a (node, offset) pair standing for ``x_node + offset``, node
+    0 being the constant 0.  Every power of ``x_var`` becomes a difference
+    of Faulhaber polynomials, which is exact for all integer ends with
+    ``lower <= upper + 1``, negative ones included.  The coefficients stay
+    integers over one common denominator, reduced at the end.
+    """
+    index = var - 1
+    sums = {}
+    for e in weight:
+        if e[index] not in sums:
+            sums[e[index]] = _power_sum(e[index], lower, upper)
+    common = math.lcm(*(denom for _, denom in sums.values()))
+    out: dict = {}
+    for e, coef in weight.items():
+        terms, denom = sums[e[index]]
+        coef *= common // denom
+        for (node, power), c in terms:
+            monomial = list(e)
+            monomial[index] = 0
+            if node:
+                monomial[node - 1] += power
+            monomial = tuple(monomial)
+            out[monomial] = out.get(monomial, 0) + coef * c
+    out = {e: c for e, c in out.items() if c}
+    scale *= common
+    g = math.gcd(scale, *out.values())
+    if g > 1:
+        out = {e: c // g for e, c in out.items()}
+        scale //= g
+    return out, scale
+
+
+def _power_sum(k, lower, upper):
+    """Sum of ``t**k`` for t from ``lower`` to ``upper`` (each a (node,
+    offset) pair): ``F(x_b + u) - F(x_a + l - 1)`` with F the k-th
+    Faulhaber polynomial, as integer ((node, power), coefficient) terms and
+    their common denominator; the constant term is ((0, 0), value)."""
+    (a, l), (b, u) = lower, upper
+    poly, denom = _faulhaber(k)
+    terms: dict = {}
+    for node, shift, sign in ((b, u, 1), (a, l - 1, -1)):
+        if node:
+            # Coefficients of F(y + shift) in powers of y, by Horner's rule.
+            shifted: list = []
+            for c in reversed(poly):
+                step = [shift * d for d in shifted] + [0]
+                for i, d in enumerate(shifted):
+                    step[i + 1] += d
+                step[0] += c
+                shifted = step
+            for power, c in enumerate(shifted):
+                term = (node, power) if power else (0, 0)
+                terms[term] = terms.get(term, 0) + sign * c
+        else:
+            value = 0
+            for c in reversed(poly):
+                value = value * shift + c
+            terms[0, 0] = terms.get((0, 0), 0) + sign * value
+    return [(term, c) for term, c in terms.items() if c], denom
+
+
+# (integer coefficients in powers of t, common denominator) of
+# 1^k + 2^k + ... + t^k, for k = 0, 1, ...; built on first use.
+_FAULHABER: list = []
+
+
+def _faulhaber(k):
+    """Coefficients of the polynomial F_k(t) = 1^k + 2^k + ... + t^k over
+    their common denominator, from (t+1)^(k+1) - 1 = sum over i <= k of
+    C(k+1, i) F_i(t)."""
+    while len(_FAULHABER) <= k:
+        j = len(_FAULHABER)
+        coeffs = [Fraction(math.comb(j + 1, m)) for m in range(j + 2)]
+        coeffs[0] -= 1
+        for i in range(j):
+            scale = math.comb(j + 1, i)
+            prev, denom = _FAULHABER[i]
+            for m, c in enumerate(prev):
+                coeffs[m] -= Fraction(scale * c, denom)
+        coeffs = [c / (j + 1) for c in coeffs]
+        denom = math.lcm(*(c.denominator for c in coeffs))
+        _FAULHABER.append((tuple(int(c * denom) for c in coeffs), denom))
+    return _FAULHABER[k]
 
 
 def _propagate(rows, intervals, neqs):

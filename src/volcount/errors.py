@@ -27,6 +27,10 @@ class NumericalError(BackendError):
     """Floating-point trouble that refinement could not fix."""
 
 
+class SummationError(BackendError):
+    """Symbolic summation gave a count that is not an integer."""
+
+
 class TimeoutExceeded(VolcountError):
     """The wall-clock budget ran out (exit code 4)."""
 

@@ -321,3 +321,58 @@ def hull_volume(p) -> float:
         return float(ConvexHull(np.array(pts)).volume)
     except QhullError:
         return 0.0
+
+
+# ---------------------------------------------------------------------------
+# order polynomials: counts of difference-order systems over N values
+
+
+def order_count(n: int, relations, N: int) -> int:
+    """Assignments of values 0..N-1 to x_0..x_(n-1) meeting every relation
+    ``(i, j, strict)``, read as x_i < x_j when strict and x_i <= x_j
+    otherwise.
+
+    A transfer walk over the levels 0..N-1: the state is the down-set of
+    variables assigned so far, and a variable may join at a level once its
+    strict predecessors lie below the level and its weak ones at or below
+    it.  Independent of the counter's code, and polynomial in N."""
+    strict = [0] * n
+    weak = [0] * n
+    for i, j, is_strict in relations:
+        if is_strict:
+            strict[j] |= 1 << i
+        else:
+            weak[j] |= 1 << i
+    full = (1 << n) - 1
+    ways = {0: 1}
+    for _ in range(N):
+        step: dict[int, int] = {}
+        for done, count in ways.items():
+            free = full & ~done
+            joined = free
+            while True:
+                reach = done | joined
+                if all(
+                    not (strict[v] & ~done) and not (weak[v] & ~reach)
+                    for v in range(n)
+                    if joined >> v & 1
+                ):
+                    step[reach] = step.get(reach, 0) + count
+                if joined == 0:
+                    break
+                joined = (joined - 1) & free
+        ways = step
+    return ways.get(full, 0)
+
+
+def lagrange_value(points, x) -> Fraction:
+    """Value at ``x`` of the polynomial through the (x_i, y_i) ``points``,
+    in exact rational arithmetic."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(points):
+        term = Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total

@@ -37,6 +37,8 @@ from oracles import (
     cube,
     grid_count,
     ineq,
+    lagrange_value,
+    order_count,
     poly,
     simplex,
     skeleton_models,
@@ -123,6 +125,42 @@ def test_array_search_path_counts():
     assert first.totals["integer_count"] == 4075920
     assert second.totals["integer_count"] == 87516
     assert elapsed < 600.0
+
+
+def order_relations(formula):
+    """The (i, j, strict) relations, x_i < x_j or x_i <= x_j, of a formula
+    whose clauses are unit literals over atoms x_i - x_j < 0 or <= 0."""
+    relations = []
+    for (lit,) in formula.clauses:
+        atom = formula.atom_map[abs(lit)]
+        assert atom.op is Cmp.LE and atom.rhs == 0
+        assert sorted(c for c in atom.coeffs if c) == [-1, 1]
+        i = atom.coeffs.index(1)
+        j = atom.coeffs.index(-1)
+        relations.append((i, j, atom.strict) if lit > 0 else (j, i, not atom.strict))
+    return relations
+
+
+@pytest.mark.parametrize(
+    "name,count_at_w4", [("find_path1.vs", 4075920), ("find_path2.vs", 87516)]
+)
+def test_array_search_path_counts_at_wide_words(name, count_at_w4):
+    # Difference systems are translation invariant, so over the w-bit box
+    # the count is the order polynomial of the relations at N = 2^w values.
+    # It has degree at most n, so N = 1..10 fix it and N = 11 checks it.
+    formula = load_formula(str(FIXTURES / name))
+    relations = order_relations(formula)
+    n = formula.num_numeric_vars
+    points = [(size, order_count(n, relations, size)) for size in range(1, 11)]
+    assert lagrange_value(points, 11) == order_count(n, relations, 11)
+    assert lagrange_value(points, 2**4) == count_at_w4
+    for w in (16, 32):
+        # A fall-back to branching cannot finish; the timeout turns it into
+        # a failure instead of a hang.
+        config = SolverConfig(word_length=w, backends=COUNT, timeout=60.0)
+        report = run(config, formula)
+        assert len(report.bunches) == 1
+        assert report.totals["integer_count"] == lagrange_value(points, 2**w)
 
 
 # ---------------------------------------------------------------------------

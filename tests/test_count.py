@@ -1,12 +1,17 @@
 """Integer point counting against grid enumeration and closed forms."""
+import time
+import traceback
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volcount import count
+from volcount.cli import main
 from volcount.count import count_integer_points, strict_to_closed
-from volcount.errors import UnboundedError
+from volcount.errors import BackendError, SummationError, TimeoutExceeded, UnboundedError
 from volcount.model import Cmp, make_polytope
 
 from oracles import grid_count, ineq, poly
@@ -205,3 +210,155 @@ class TestLazyDisequalities:
         p = poly([ineq([1, -1], 0), ineq([-1, 1], 0)], 2)
         with pytest.raises(UnboundedError):
             count_integer_points(p, (ineq([1, 0], 3, Cmp.EQ),))
+
+
+def difference(n, i, j, rhs, op=Cmp.LE, g=1):
+    """The row g x_i - g x_j (op) rhs over n variables."""
+    coeffs = [0] * n
+    coeffs[i], coeffs[j] = g, -g
+    return ineq(coeffs, rhs, op)
+
+
+def no_branching(*args):
+    raise AssertionError("a difference system was branched on")
+
+
+class TestDifferenceSummation:
+    """Bounded difference systems are summed symbolically, never branched."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_difference_systems_match_grid(self, data):
+        n = data.draw(st.integers(1, 4))
+        lo = data.draw(st.integers(-6, 2))
+        hi = data.draw(st.integers(lo, lo + 7))
+        rows = []
+        for v in range(n):
+            # an interval of its own for each variable, inside [lo, hi]
+            start, end = sorted(data.draw(st.integers(lo, hi)) for _ in range(2))
+            unit = [0] * n
+            unit[v] = 1
+            rows += [ineq(unit, end), ineq([-u for u in unit], -start)]
+        for _ in range(data.draw(st.integers(0, 6)) if n > 1 else 0):
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            g = data.draw(st.sampled_from([1, 1, 2, 3]))
+            rhs = Fraction(data.draw(st.integers(-7, 7)), data.draw(st.sampled_from([1, 1, 2])))
+            op = data.draw(st.sampled_from([Cmp.LE, Cmp.LT, Cmp.EQ]))
+            rows.append(difference(n, i, j, rhs, op, g))
+        p = poly(rows, n)
+        with mock.patch.object(count, "_branch", no_branching):
+            got = count_integer_points(p)
+        assert got == grid_count(p, lo, hi)
+
+    def test_bounds_are_pruned_by_the_system_without_the_variable(self):
+        # x0 in [0, 3], x1 in [-1, 4], x1 - x0 <= -3, x0 - x1 <= 3: only
+        # (2, -1) and (3, 0).  Pruning bounds on x0 with what x0 itself
+        # implies, but keeping x1's original interval, counts 6.
+        rows = [ineq([1, 0], 3), ineq([-1, 0], 0), ineq([0, 1], 4), ineq([0, -1], 1)]
+        rows += [difference(2, 1, 0, -3), difference(2, 0, 1, 3)]
+        p = poly(rows, 2)
+        with mock.patch.object(count, "_branch", no_branching):
+            assert count_integer_points(p) == 2
+        assert grid_count(p, -1, 4) == 2
+
+    def test_scaled_strict_and_equality_rows(self):
+        # 2x - 2y <= 3 is x - y <= 1; x - y < 1 is x <= y; x - z = -2
+        rows = box(3, -4, 3) + [
+            difference(3, 0, 1, 3, g=2),
+            difference(3, 1, 2, 1, Cmp.LT),
+            difference(3, 0, 2, -2, Cmp.EQ),
+        ]
+        p = poly(rows, 3)
+        with mock.patch.object(count, "_branch", no_branching):
+            got = count_integer_points(p)
+        assert got == grid_count(p, -4, 3) > 0
+
+    def test_infeasible_cycle_counts_zero(self):
+        # x < y < z < x over a box far too wide for interval propagation to
+        # refute in its rounds: the negative cycle must be found when the
+        # rows are closed, before any variable is eliminated.
+        rows = box(3, -(2**31), 2**31 - 1) + [
+            difference(3, 0, 1, 0, Cmp.LT),
+            difference(3, 1, 2, 0, Cmp.LT),
+            difference(3, 2, 0, 0, Cmp.LT),
+        ]
+
+        def no_elimination(*args):
+            raise AssertionError("an infeasible system was eliminated")
+
+        with mock.patch.object(count, "_branch", no_branching):
+            with mock.patch.object(count, "_eliminate", no_elimination):
+                assert count_integer_points(poly(rows, 3)) == 0
+
+    def test_wide_box_chain_closed_form(self):
+        # x0 < x1 < ... < x4 over 2^32 values: C(2^32, 5) points.
+        n, size = 5, 2**32
+        rows = box(n, -(size // 2), size // 2 - 1)
+        rows += [difference(n, k, k + 1, 0, Cmp.LT) for k in range(n - 1)]
+        with mock.patch.object(count, "_branch", no_branching):
+            got = count_integer_points(poly(rows, n))
+        assert got == size * (size - 1) * (size - 2) * (size - 3) * (size - 4) // 120
+
+
+class TestSummationFallbacksAndErrors:
+    def test_unbounded_difference_system_is_a_backend_error_in_the_cli(self, tmp_path, capsys):
+        # x0 <= x1 with x0 >= 0 at -w=0: x1 runs free above
+        halfline = tmp_path / "order.vs"
+        halfline.write_text("p cnf v lc 2 2 2 2\nm1 1 -1 <= 0\nm2 1 0 >= 0\n1 0\n2 0\n")
+        assert main(["-L", "-w=0", str(halfline)]) == 3
+        out = capsys.readouterr().out
+        assert "total integer_count: undefined" in out
+        assert "infinite" in out
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_rows_and_disequalities_match_grid(self, data):
+        n = data.draw(st.integers(2, 4))
+        lo = data.draw(st.integers(-5, 0))
+        hi = data.draw(st.integers(0, 5))
+        rows = box(n, lo, hi)
+        for _ in range(data.draw(st.integers(1, 4))):
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            rows.append(difference(n, i, j, data.draw(st.integers(-3, 3))))
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if data.draw(st.booleans()):
+            # x_i + x_j <= c: not a difference row
+            coeffs = [0] * n
+            coeffs[i] = coeffs[j] = 1
+            rows.append(ineq(coeffs, data.draw(st.integers(-4, 4))))
+            neqs = ()
+        else:
+            neqs = (difference(n, i, j, data.draw(st.integers(-2, 2)), Cmp.EQ),)
+        p = poly(rows, n)
+        assert count_integer_points(p, neqs) == grid_count(p, lo, hi, neqs)
+
+    def test_deadline_expires_inside_the_summation(self):
+        n = 6
+        rows = box(n, -(2**31), 2**31 - 1)
+        rows += [difference(n, k, k + 1, 0, Cmp.LT) for k in range(n - 1)]
+        rows += [difference(n, 0, k, 0, Cmp.LT) for k in range(2, n)]
+        checks = []
+
+        def expire_at_fourth_check(deadline):
+            # the first check is the counter's entry; the rest are cases
+            checks.append(deadline)
+            if len(checks) > 3:
+                raise TimeoutExceeded("wall-clock budget exhausted")
+
+        with mock.patch.object(count, "check_deadline", expire_at_fourth_check):
+            with pytest.raises(TimeoutExceeded) as info:
+                count_integer_points(poly(rows, n), deadline=time.monotonic() + 60)
+        frames = [frame.name for frame in traceback.extract_tb(info.tb)]
+        assert "_eliminate" in frames
+        assert "_branch" not in frames
+
+    def test_non_integer_sum_is_a_summation_error(self):
+        # A wrong power-sum table (F_k(t) = t/2 for every k) sums x <= y
+        # over [0, 2]^2 to 3/2; that must fail the count, never be rounded.
+        # SummationError is a BackendError, so the driver fails only that
+        # bunch.
+        rows = box(2, 0, 2) + [difference(2, 0, 1, 0)]
+        with mock.patch.object(count, "_faulhaber", lambda k: ((0, 1), 2)):
+            with pytest.raises(SummationError, match="3/2"):
+                count_integer_points(poly(rows, 2))
+        assert issubclass(SummationError, BackendError)

@@ -10,15 +10,20 @@ to the clause database mid-search: the new clause is falsified when it
 arrives, so chronological backtracking unwinds decisions until it no longer
 is, then propagates it if it has become unit.
 
-Theory conflicts block an irreducible inconsistent core.  The feasibility
-LP that finds the conflict also returns a Farkas certificate (the phase-1
-duals, see :mod:`volcount.lp`); the literals whose rows carry a positive
-multiplier are already inconsistent, so the core is shrunk by deletion
-inside that support only, one LP per support literal instead of one per
-literal.  When the certificate is missing or its support checks out
-feasible, deletion runs over every literal, which is always correct.  The
-float rows of every atom, in both polarities, and of the word-length box
-are built once per enumeration.
+Theory conflicts block an irreducible inconsistent core.  A check whose
+rows are all bounds on linearly independent forms (no equalities) is
+decided in closed form, in exact rationals and without an LP: such forms
+take any values jointly, so the rows are consistent exactly when no upper
+bound lies below a lower bound on the same form, and a single such
+crossing pair is the only irreducible core (Dutertre & de Moura, CAV
+2006).  Every other check runs the feasibility LP, which also returns a
+Farkas certificate (the phase-1 duals, see :mod:`volcount.lp`); the
+literals whose rows carry a positive multiplier are already inconsistent,
+so the core is shrunk by deletion inside that support only, one check per
+support literal instead of one per literal.  When the certificate is
+missing or its support checks out feasible, deletion runs over every
+literal, which is always correct.  The rows of every atom, in both
+polarities, and of the word-length box are built once per enumeration.
 
 Disjointness of emitted bunches comes from the blocking clauses: any later
 model disagrees with each earlier bunch on at least one pinned literal.
@@ -26,13 +31,23 @@ Coverage comes from exhausting the decision tree.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import check_deadline
 from .lp import LpStatus, lp_feasible
-from .model import Bunch, Cmp, Formula, SolverConfig, box_constraints, literal_row
+from .model import (
+    Bunch,
+    Cmp,
+    Formula,
+    LinearConstraint,
+    SolverConfig,
+    box_constraints,
+    literal_row,
+)
 
 Literal = tuple[int, bool]
 
@@ -42,13 +57,20 @@ SUPPORT_TOL = 1e-9
 
 
 class TheoryRows:
-    """Float rows of every theory literal and of the word-length box.
+    """Rows of every theory literal and of the word-length box.
 
     Each atom contributes one row per polarity: an inequality, an equality,
     or nothing (a negated equality, which carves out a measure-zero set and
     is never part of a conflict, or a constant row that always holds).  A
     constant row that never holds becomes ``0 <= -1``.  Strict rows are
     read as their closures.
+
+    Besides the float rows the LP sees, ``bounds`` keeps every nonzero
+    inequality row exactly, as a bound on its form (the primitive integer
+    coefficient vector whose first nonzero entry is positive): the index of
+    the form in ``forms``, whether the bound is an upper one, and its value.
+    ``independent`` says whether all of the formula's forms, box included,
+    are linearly independent.
     """
 
     def __init__(self, formula: Formula, config: SolverConfig):
@@ -58,6 +80,23 @@ class TheoryRows:
         self.owner: list[Optional[Literal]] = []  # row -> its literal; None for the box
         self.ub_of: dict[Literal, int] = {}
         self.eq_of: dict[Literal, int] = {}
+        self.bounds: list[Optional[tuple[int, bool, Fraction]]] = []  # None: zero row or equality
+        form_ids: dict[tuple[int, ...], int] = {}
+
+        def add(constraint: LinearConstraint, owner: Optional[Literal]) -> None:
+            self.owner.append(owner)
+            rows.append([float(c) for c in constraint.coeffs])
+            if constraint.op is Cmp.EQ:
+                self.rhs.append(float(constraint.rhs))
+                self.bounds.append(None)
+            elif constraint.is_zero_row:  # a contradiction: tautologies are skipped
+                self.rhs.append(-1.0)
+                self.bounds.append(None)
+            else:
+                self.rhs.append(float(constraint.rhs))
+                form, upper, value = _bound_on_form(constraint)
+                self.bounds.append((form_ids.setdefault(form, len(form_ids)), upper, value))
+
         for var in sorted(formula.atom_map):
             for polarity in (False, True):
                 constraint = literal_row(formula.atom_map[var], polarity)
@@ -65,19 +104,13 @@ class TheoryRows:
                     continue
                 where = self.eq_of if constraint.op is Cmp.EQ else self.ub_of
                 where[(var, polarity)] = len(rows)
-                self.owner.append((var, polarity))
-                if constraint.is_contradiction and where is self.ub_of:
-                    rows.append([0.0] * n)
-                    self.rhs.append(-1.0)
-                else:
-                    rows.append([float(c) for c in constraint.coeffs])
-                    self.rhs.append(float(constraint.rhs))
+                add(constraint, (var, polarity))
         box_start = len(rows)
         for constraint in box_constraints(n, config.word_length):
-            rows.append([float(c) for c in constraint.coeffs])
-            self.rhs.append(float(constraint.rhs))
-            self.owner.append(None)
+            add(constraint, None)
         self.box = list(range(box_start, len(rows)))
+        self.forms = list(form_ids)
+        self.independent = _independent(self.forms)
         directions: dict[tuple[float, ...], int] = {}
         self.direction = [directions.setdefault(tuple(row), len(directions)) for row in rows]
         self.a = np.array(rows, dtype=float).reshape(len(rows), n)
@@ -88,10 +121,14 @@ class TheoryRows:
     def check(self, literals: Sequence[Literal]) -> tuple[bool, Optional[list[Literal]]]:
         """Whether the literals are consistent inside the box.  When they are
         not, also the sorted literals whose rows carry a positive Farkas
-        multiplier (None when the LP gave no certificate).
+        multiplier, or whose rows are a bounds-only check's crossing pair
+        (None when the LP gave no certificate).
 
         Of several inequality rows with the same coefficients only the
-        tightest enters the LP, so the certificate names the binding one."""
+        tightest is kept, so the certificate names the binding one.  When no
+        equality is involved and the kept rows bound independent forms, the
+        answer comes from comparing their exact bounds (`_bounds_check`);
+        every other check runs the feasibility LP."""
         tightest: dict[int, int] = {}  # direction -> row, in order of first use
         for r in [self.ub_of[lit] for lit in literals if lit in self.ub_of] + self.box:
             best = tightest.get(self.direction[r])
@@ -99,6 +136,10 @@ class TheoryRows:
                 tightest[self.direction[r]] = r
         ub = list(tightest.values())
         eq = [self.eq_of[lit] for lit in literals if lit in self.eq_of]
+        if not eq:
+            decided = self._bounds_check(ub)
+            if decided is not None:
+                return decided
         res = lp_feasible(self.a[ub], self.b[ub], self.a[eq], self.b[eq])
         if res.status is LpStatus.OPTIMAL:
             return True, None
@@ -110,6 +151,76 @@ class TheoryRows:
         owners = (self.owner[r] for r in rows)
         return False, sorted(lit for lit, wi in zip(owners, w) if lit is not None and wi > cut)
 
+    def _bounds_check(self, ub: list[int]) -> Optional[tuple[bool, Optional[list[Literal]]]]:
+        """Decide inequality rows that bound linearly independent forms, or
+        return None to leave the check to the LP.
+
+        Independent forms take any values jointly, so the closures are
+        consistent exactly when no upper bound lies below a lower bound on
+        the same form.  Every inconsistent subset then contains such a
+        crossing pair, so a single pair is the only irreducible core, and
+        the deletion in `theory_check` ends on it as it would after an LP.
+        With two or more pairs the core depends on the certificate, so the
+        LP decides."""
+        uppers: dict[int, list[tuple[Fraction, int]]] = {}  # form -> (value, row)
+        lowers: dict[int, list[tuple[Fraction, int]]] = {}
+        for r in ub:
+            bound = self.bounds[r]
+            if bound is None:
+                return None
+            form, upper, value = bound
+            (uppers if upper else lowers).setdefault(form, []).append((value, r))
+        if not self.independent and not _independent(
+            [self.forms[f] for f in uppers.keys() | lowers.keys()]
+        ):
+            return None
+        crossing = [
+            (u, lo)
+            for form, ups in uppers.items()
+            for low, lo in lowers.get(form, ())
+            for up, u in ups
+            if up < low
+        ]
+        if not crossing:
+            return True, None
+        if len(crossing) > 1:
+            return None
+        return False, sorted(self.owner[r] for r in crossing[0] if self.owner[r] is not None)
+
+
+def _bound_on_form(constraint: LinearConstraint) -> tuple[tuple[int, ...], bool, Fraction]:
+    """A nonzero canonical inequality row ``a . x <= b`` (integer a) as a
+    bound on its form f, the primitive integer vector with a = s·g·f,
+    s = ±1, g > 0 and the first nonzero entry of f positive: ``f . x <= b/g``
+    when s = 1 (an upper bound) and ``f . x >= -b/g`` when s = -1.  Returns
+    (f, upper, bound)."""
+    ints = [c.numerator for c in constraint.coeffs]
+    sign = 1 if next(c for c in ints if c) > 0 else -1
+    g = math.gcd(*ints)
+    rhs = constraint.rhs
+    return tuple(sign * c // g for c in ints), sign > 0, Fraction(sign * rhs.numerator, rhs.denominator * g)
+
+
+def _independent(forms: Sequence[tuple[int, ...]]) -> bool:
+    """Whether integer vectors are linearly independent: exact elimination,
+    each row clearing its first nonzero column from the rows after it, with
+    every reduced row divided by its gcd so that entries stay small."""
+    if forms and len(forms) > len(forms[0]):
+        return False
+    rows = [list(f) for f in forms]
+    for i, row in enumerate(rows):
+        pivot = next((j for j, c in enumerate(row) if c), None)
+        if pivot is None:
+            return False
+        for other in rows[i + 1 :]:
+            if other[pivot]:
+                p, q = row[pivot], other[pivot]
+                other[:] = [p * o - q * r for o, r in zip(other, row)]
+                g = math.gcd(*other)
+                if g > 1:
+                    other[:] = [o // g for o in other]
+    return True
+
 
 def theory_check(literals: Sequence[Literal], rows: TheoryRows) -> Optional[list[Literal]]:
     """Check whether the theory literals are jointly satisfiable inside the
@@ -117,8 +228,9 @@ def theory_check(literals: Sequence[Literal], rows: TheoryRows) -> Optional[list
     inconsistent core: a sublist of the input that is inconsistent and
     becomes consistent when any one literal is dropped.
 
-    The core comes from deletion over the support of the Farkas certificate
-    of the failed LP, after one LP confirms that the support alone is
+    The core comes from deletion over the support that the failed check
+    names (the Farkas certificate's, or a bounds-only check's crossing
+    pair), after one more check confirms that the support alone is
     inconsistent.  Without a certificate, or with a support that checks out
     consistent, deletion runs over every literal.  Negated equalities carve
     out measure-zero sets; they are never part of a conflict.

@@ -112,10 +112,14 @@ def _canonical_key(a: np.ndarray, b: np.ndarray):
     """Hashable form of the system, invariant under row order and
     translation (shifting to the least-squares point of A x = b maps
     translates of a body to the same system).  The column sort also catches
-    many, not all, variable permutations.  Equal keys always mean the
-    systems are variable permutations of translates of each other, so their
-    volumes agree: any collision is sound, and a missed match only costs
-    time."""
+    many, not all, variable permutations.  Entries are rounded to 9
+    decimals, so equal keys guarantee only that the shifted systems agree
+    to within 1e-9 per entry, up to row order and a column permutation.
+    Exact permuted translates match (unless float noise puts an entry on
+    the other side of a rounding boundary, which only costs time), but so
+    do systems that differ by less than 1e-9, and the memo then hands one
+    the other's volume.  No bound on the volume error this causes is
+    proved here."""
     shift = np.linalg.lstsq(a, b, rcond=None)[0]
     rows = np.column_stack([a, b - a @ shift])
     rows = np.round(rows, 9) + 0.0  # drop negative zeros

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from volcount.bunches import SUPPORT_TOL
 from volcount.exact import _CONSTANT_ROW_TOL, _VERTEX_TOL, _ZERO_TOL
+from volcount.lp import LpStatus, lp_feasible
 from volcount.model import (
     Cmp,
     LinearConstraint,
@@ -272,6 +274,47 @@ def bunch_models(bunch, formula: Formula):
         out = dict(fixed)
         out.update(zip(free, bits))
         yield out
+
+
+def lp_theory_check(literals, rows):
+    """The theory check with every decision made by the LP: the tightest
+    row per coefficient vector, `lp_feasible` on those rows, then deletion
+    inside the support of the Farkas certificate (over every literal when
+    there is no certificate or its support is consistent).  ``rows`` is a
+    `volcount.bunches.TheoryRows`; the closed-form bound check is never
+    consulted."""
+
+    def check(lits):
+        tightest = {}
+        for r in [rows.ub_of[lit] for lit in lits if lit in rows.ub_of] + rows.box:
+            best = tightest.get(rows.direction[r])
+            if best is None or rows.rhs[r] < rows.rhs[best]:
+                tightest[rows.direction[r]] = r
+        ub = list(tightest.values())
+        eq = [rows.eq_of[lit] for lit in lits if lit in rows.eq_of]
+        res = lp_feasible(rows.a[ub], rows.b[ub], rows.a[eq], rows.b[eq])
+        if res.status is LpStatus.OPTIMAL:
+            return True, None
+        if res.certificate is None:
+            return False, None
+        w = np.abs(res.certificate) * rows.weight[ub + eq]
+        cut = SUPPORT_TOL * float(w.max(initial=0.0))
+        owners = (rows.owner[r] for r in ub + eq)
+        return False, sorted(lit for lit, wi in zip(owners, w) if lit is not None and wi > cut)
+
+    ordered = sorted(literals)
+    consistent, support = check(ordered)
+    if consistent:
+        return None
+    candidates = ordered
+    if support is not None and (len(support) == len(ordered) or not check(support)[0]):
+        candidates = support
+    core = list(candidates)
+    for lit in candidates:
+        trial = [x for x in core if x != lit]
+        if not check(trial)[0]:
+            core = trial
+    return core
 
 
 def formula_solution_count(formula: Formula, lo: int, hi: int) -> int:

@@ -26,7 +26,7 @@ from volcount.model import (
 )
 from volcount.volce import parse_volce
 
-from oracles import clause_true, ineq, skeleton_models, threshold_slab
+from oracles import clause_true, ineq, lp_theory_check, skeleton_models, threshold_slab
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CFG = SolverConfig(word_length=3)
@@ -287,18 +287,110 @@ class TestConflictCores:
         assert theory_check(literals, rows) == want
 
     def test_threshold_slab_enumeration_stays_within_lp_budget(self, monkeypatch):
-        # Deletion over every literal took 4,124 LPs here.
-        calls = []
-        real = bunches_mod.lp_feasible
-
-        def counted(*arrays):
-            calls.append(1)
-            return real(*arrays)
-
-        monkeypatch.setattr(bunches_mod, "lp_feasible", counted)
+        # Deletion over every literal took 4,124 LPs here and deletion over
+        # the Farkas support 704; every check only bounds x1 and x2, so the
+        # bounds decide it without an LP.
+        calls = count_lps(monkeypatch)
         bunches = list(enumerate_bunches(threshold_slab(20), SolverConfig(word_length=0)))
         assert len(bunches) == 20
-        assert len(calls) <= 1000
+        assert len(calls) == 0
+
+
+def count_lps(monkeypatch):
+    """Patch the theory LP to record each call; returns the record."""
+    calls = []
+    real = bunches_mod.lp_feasible
+
+    def counted(*arrays):
+        calls.append(1)
+        return real(*arrays)
+
+    monkeypatch.setattr(bunches_mod, "lp_feasible", counted)
+    return calls
+
+
+def bound_atoms(data, n, count):
+    """Mostly axis bounds, some scaled (``2x <= 3`` beside ``x <= 1``) and
+    some on two variables, with ``<=``, ``<`` and ``=``."""
+    atoms = {}
+    for var in range(1, count + 1):
+        coeffs = [0] * n
+        j = data.draw(st.integers(0, n - 1))
+        coeffs[j] = data.draw(st.sampled_from([1, -1, 1, -1, 2, -2, 3]))
+        if n > 1 and data.draw(st.integers(0, 4)) == 0:
+            coeffs[(j + 1) % n] = data.draw(st.sampled_from([1, -1, 2]))
+        op = data.draw(st.sampled_from([Cmp.LE, Cmp.LE, Cmp.LT, Cmp.EQ]))
+        atoms[var] = ineq(coeffs, data.draw(st.integers(-5, 5)), op)
+    return atoms
+
+
+class TestBoundChecks:
+    """Checks whose rows bound independent forms are decided without an LP,
+    and give the LP path's answers."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lp_reference(self, data):
+        n = data.draw(st.integers(1, 3))
+        count = data.draw(st.integers(2, 7))
+        config = SolverConfig(word_length=data.draw(st.sampled_from([0, 2, 3])))
+        rows = TheoryRows(pin_atoms(bound_atoms(data, n, count), n), config)
+        literals = [(v, data.draw(st.booleans())) for v in range(1, count + 1)]
+        assert theory_check(literals, rows) == lp_theory_check(literals, rows)
+
+    def test_literal_crossing_only_the_box(self, monkeypatch):
+        calls = count_lps(monkeypatch)
+        rows = TheoryRows(pin_atoms({1: ineq([1], -10), 2: ineq([1], 3)}, 1), CFG)
+        assert theory_check([(1, True), (2, True)], rows) == [(1, True)]
+        assert calls == []
+
+    def test_two_crossing_forms_go_to_the_lp(self, monkeypatch):
+        atoms = {1: ineq([1, 0], -1), 2: ineq([-1, 0], -1), 3: ineq([0, 1], -1), 4: ineq([0, -1], -1)}
+        rows = TheoryRows(pin_atoms(atoms, 2), SolverConfig(word_length=0))
+        literals = [(v, True) for v in atoms]
+        want = lp_theory_check(literals, rows)
+        calls = count_lps(monkeypatch)
+        assert rows.check(literals)[0] is False
+        assert len(calls) == 1
+        assert theory_check(literals, rows) == want
+
+    def test_two_crossing_pairs_on_one_form_go_to_the_lp(self, monkeypatch):
+        # x <= 1 and 2x <= 3 both cross x >= 2
+        atoms = {1: ineq([1], 1), 2: ineq([2], 3), 3: ineq([-1], -2)}
+        rows = TheoryRows(pin_atoms(atoms, 1), SolverConfig(word_length=0))
+        literals = [(v, True) for v in atoms]
+        want = lp_theory_check(literals, rows)
+        calls = count_lps(monkeypatch)
+        assert rows.check(literals)[0] is False
+        assert len(calls) == 1
+        assert theory_check(literals, rows) == want
+
+    def test_crossing_below_the_lp_tolerance_is_a_conflict(self, monkeypatch):
+        # 10^9 x <= 10^9 - 1 against x >= 1: the bounds cross by 1e-9
+        atoms = {1: ineq([10**9], 10**9 - 1), 2: ineq([-1], -1)}
+        rows = TheoryRows(pin_atoms(atoms, 1), SolverConfig(word_length=0))
+        calls = count_lps(monkeypatch)
+        assert theory_check([(1, True), (2, True)], rows) == [(1, True), (2, True)]
+        assert theory_check([(1, True), (2, False)], rows) is None
+        assert calls == []
+
+    def test_equality_literal_goes_to_the_lp(self, monkeypatch):
+        atoms = {1: ineq([1], 1, Cmp.EQ), 2: ineq([1], 0)}
+        rows = TheoryRows(pin_atoms(atoms, 1), CFG)
+        calls = count_lps(monkeypatch)
+        assert theory_check([(1, True), (2, True)], rows) == [(1, True), (2, True)]
+        assert calls
+
+    def test_independence_is_tested_per_check_when_the_formula_lacks_it(self, monkeypatch):
+        # x, y and x + y: dependent as a whole, any two of them independent
+        atoms = {1: ineq([1, 0], 0), 2: ineq([-1, 0], -1), 3: ineq([0, 1], 0), 4: ineq([1, 1], 5)}
+        rows = TheoryRows(pin_atoms(atoms, 2), SolverConfig(word_length=0))
+        assert not rows.independent
+        calls = count_lps(monkeypatch)
+        assert rows.check([(1, True), (2, True), (3, True)]) == (False, [(1, True), (2, True)])
+        assert calls == []
+        assert rows.check([(1, True), (3, True), (4, True)]) == (True, None)
+        assert len(calls) == 1
 
 
 class TestAuxAndMultipliers:

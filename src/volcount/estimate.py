@@ -4,7 +4,9 @@ The pipeline per polytope is:
 
 1. round_polytope: shrink a shallow-cut ellipsoid around the body until its
    scaled-down copy fits inside, then map the body into a coordinate frame
-   where it contains the unit ball and sits inside a ball of radius 2n.
+   where it contains the unit ball and sits inside a ball of radius 2n.  The
+   ellipsoid is kept as a center and a factor L (shape = L L^T), so it stays
+   positive definite by construction.
 2. estimate_volume: walk a telescoping sequence of ball intersections from
    the outermost inwards, reusing stored points across phases, and multiply
    the per-phase ratio estimates into a volume figure.
@@ -36,37 +38,31 @@ from .model import Polytope
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
-    """Ellipsoid { x : (x-center)^T shape^{-1} (x-center) <= 1 }."""
-
-    center: np.ndarray
-    shape: np.ndarray
-
-
-def shallow_cut_update(e: Ellipsoid, a: np.ndarray, cut_level: float) -> Ellipsoid:
-    """One shallow-cut step: the smallest ellipsoid containing the part of
-    ``e`` on the side ``a . x <= a . center + cut_level * sqrt(a^T E a)``.
+def shallow_cut_update(
+    center: np.ndarray, factor: np.ndarray, a: np.ndarray, cut_level: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One shallow-cut step on the ellipsoid {center + factor u : |u| <= 1}:
+    the smallest ellipsoid containing its part on the side
+    ``a . x <= a . center + cut_level * |factor^T a|``, as (center, factor).
 
     ``cut_level`` is the fraction beta in [0, 1/n); beta = 0 is the classic
-    central cut.  Requires dimension >= 2.
+    central cut.  The update is rank one on the factor (Goldfarb & Todd,
+    1982), so a nonsingular factor stays nonsingular.  Requires dimension
+    >= 2.
     """
-    center, shape = e.center, e.shape
     n = center.shape[0]
     if n < 2:
         raise ValueError("shallow-cut update needs dimension >= 2")
-    ea = shape @ a
-    denom = float(a @ ea)
-    if denom <= 0:
-        raise NumericalError("ellipsoid lost positive definiteness")
-    g = ea / math.sqrt(denom)
+    w = a @ factor
+    u = w / np.linalg.norm(w)
+    g = factor @ u
     beta = cut_level
     gamma = (1.0 - n * beta) / (n + 1.0)
-    new_center = center - gamma * g
-    factor = (n * n * (1.0 - beta * beta)) / (n * n - 1.0)
-    new_shape = factor * (shape - (2.0 * gamma / (1.0 - beta)) * np.outer(g, g))
-    new_shape = 0.5 * (new_shape + new_shape.T)
-    return Ellipsoid(new_center, new_shape)
+    # shape - tau g g^T = factor (I - tau u u^T) factor^T, and
+    # (I - sigma u u^T)^2 = I - tau u u^T; tau < 1 for every n >= 2, beta < 1/n.
+    sigma = 1.0 - math.sqrt(1.0 - 2.0 * gamma / (1.0 - beta))
+    s = math.sqrt((n * n * (1.0 - beta * beta)) / (n * n - 1.0))
+    return center - gamma * g, s * (factor - sigma * np.outer(g, u))
 
 
 @dataclass(frozen=True)
@@ -80,16 +76,13 @@ class RoundedPolytope:
     n: int
     r: float
     log_scale: float
-    row_norms: np.ndarray = field(init=False)
     a_t: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "row_norms", np.linalg.norm(self.a, axis=1))
         object.__setattr__(self, "a_t", np.ascontiguousarray(self.a.T))
 
 
 _MAX_CUT_ITERS = 200_000
-_DET_CHECK_EVERY = 16
 
 
 def round_polytope(p: Polytope, deadline: Optional[float] = None) -> Optional[RoundedPolytope]:
@@ -99,9 +92,9 @@ def round_polytope(p: Polytope, deadline: Optional[float] = None) -> Optional[Ro
     Returns None when the body has (numerically) no volume: empty, flat, or
     squeezed below the flatness threshold.  Raises UnboundedError when the
     body is unbounded, so callers must bound variables (word-length box)
-    before estimating, and NumericalError when the rounding ellipsoid loses
-    positive definiteness or does not converge: a body that fails to round
-    is an error, never volume 0.
+    before estimating, and NumericalError when the rounding does not
+    converge within _MAX_CUT_ITERS cuts: a body that fails to round is an
+    error, never volume 0.
     """
     if p.contradictory or p.n == 0:
         return None
@@ -127,50 +120,38 @@ def round_polytope(p: Polytope, deadline: Optional[float] = None) -> Optional[Ro
     if rho <= FLATNESS_TOL:
         return None
 
+    # The ellipsoid {center + L u : |u| <= 1} starts as the box's enclosing
+    # ball and always contains the body, hence the Chebyshev ball of radius
+    # rho > FLATNESS_TOL: |det L| >= rho^n, so L never becomes singular.
     center = (lo + hi) / 2.0
-    radius = float(np.linalg.norm(hi - lo)) / 2.0
-    if radius <= 0.0:
-        return None
-    shape = np.eye(n) * radius * radius
-    ell = Ellipsoid(center, shape)
+    factor = np.eye(n) * (float(np.linalg.norm(hi - lo)) / 2.0)
 
     beta = 1.0 / (2.0 * n)
-    log_det_floor = 2.0 * n * math.log(FLATNESS_TOL)
     norms2 = np.einsum("ij,ij->i", a, a)
     iters = 0
     while True:
         check_deadline(deadline)
-        margins = a @ ell.center + beta * np.sqrt(
-            np.maximum(np.einsum("ij,jk,ik->i", a, ell.shape, a), 0.0)
-        )
+        margins = a @ center + beta * np.linalg.norm(a @ factor, axis=1)
         viol = margins - b
         worst = int(np.argmax(viol))
         if viol[worst] <= 1e-11 * max(1.0, float(np.sqrt(norms2[worst]))):
             break
-        ell = shallow_cut_update(ell, a[worst], beta)
+        center, factor = shallow_cut_update(center, factor, a[worst], beta)
         iters += 1
-        if iters % _DET_CHECK_EVERY == 0:
-            sign, logdet = np.linalg.slogdet(ell.shape)
-            if sign <= 0:
-                raise NumericalError("rounding ellipsoid lost positive definiteness")
-            if logdet < log_det_floor:
-                return None
         if iters > _MAX_CUT_ITERS:
             raise NumericalError("ellipsoid rounding did not converge")
 
-    try:
-        chol = np.linalg.cholesky(ell.shape)
-    except np.linalg.LinAlgError:
-        sign, logdet = np.linalg.slogdet(ell.shape)
-        if sign > 0 and logdet < log_det_floor:
-            return None
-        raise NumericalError("rounding ellipsoid not positive definite") from None
+    # The lower-triangular chol with chol chol^T = L L^T, without forming
+    # L L^T: L^T = Q R gives L L^T = R^T R; flip R's rows to a positive
+    # diagonal.
+    r = np.linalg.qr(factor.T, mode="r")
+    chol = (r * np.sign(np.diag(r))[:, None]).T
 
     # Map x -> M^{-1}(x - center) with M = beta * chol; the shrunk ellipsoid
     # beta*E becomes the unit ball and the full ellipsoid the 2n-ball.
     mat = beta * chol
     a_new = a @ mat
-    b_new = b - a @ ell.center
+    b_new = b - a @ center
     log_scale = float(np.sum(np.log(np.diag(chol)))) + n * math.log(beta)
 
     # Exact unit-ball containment: scale the image up a hair if needed.
@@ -225,8 +206,6 @@ class PhaseLedger:
 class EstimateResult:
     volume: float
     ledger: PhaseLedger
-    seed: int
-    stream: int
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -327,7 +306,7 @@ def estimate_volume(
     if samples_per_phase < 1:
         raise ValueError("need at least one sample per phase")
     if q.n == 1:
-        return _interval_volume(q, seed, stream)
+        return _interval_volume(q)
     n = q.n
     num_phases = phase_count(q)
     rng = _philox(seed, stream)
@@ -390,10 +369,10 @@ def estimate_volume(
 
     log_vol = unit_ball_log_volume(n) + q.log_scale + sum(math.log(r) for r in ratios)
     ledger = PhaseLedger(num_phases, bucket_counts.tolist(), fresh_per_phase, ratios)
-    return EstimateResult(math.exp(log_vol), ledger, seed, stream)
+    return EstimateResult(math.exp(log_vol), ledger)
 
 
-def _interval_volume(q: RoundedPolytope, seed: int, stream: int) -> EstimateResult:
+def _interval_volume(q: RoundedPolytope) -> EstimateResult:
     """Exact multiphase figures of a one-dimensional body.
 
     Every K_i is an interval, so each phase ratio is a ratio of lengths and
@@ -413,4 +392,4 @@ def _interval_volume(q: RoundedPolytope, seed: int, stream: int) -> EstimateResu
         raise BackendError("estimation degenerate: no samples inside the phase ball")
     ratios = [lengths[i + 1] / lengths[i] for i in range(num_phases)]
     ledger = PhaseLedger(num_phases, [0] * (num_phases + 1), [0] * num_phases, ratios)
-    return EstimateResult(lengths[-1] * math.exp(q.log_scale), ledger, seed, stream)
+    return EstimateResult(lengths[-1] * math.exp(q.log_scale), ledger)

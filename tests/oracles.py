@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from volcount.bunches import SUPPORT_TOL
+from volcount.errors import NumericalError
 from volcount.exact import _CONSTANT_ROW_TOL, _VERTEX_TOL, _ZERO_TOL
 from volcount.lp import LpStatus, lp_feasible
 from volcount.model import (
@@ -209,6 +210,35 @@ def polygon_area_loop(a: np.ndarray, b: np.ndarray) -> float:
         x2, y2 = uniq[(k + 1) % len(uniq)]
         area += x1 * y2 - x2 * y1
     return abs(area) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# explicit-form ellipsoid update (the factor form in volcount.estimate must
+# track it on well-conditioned bodies)
+
+
+def explicit_shallow_cut(center: np.ndarray, shape: np.ndarray, a: np.ndarray, cut_level: float):
+    """One shallow-cut step on the ellipsoid
+    { x : (x-center)^T shape^{-1} (x-center) <= 1 }: the smallest ellipsoid
+    containing its part on the side
+    ``a . x <= a . center + cut_level * sqrt(a^T shape a)``, as
+    (center, shape).  Loses positive definiteness on ill-conditioned shapes.
+    """
+    n = center.shape[0]
+    if n < 2:
+        raise ValueError("shallow-cut update needs dimension >= 2")
+    ea = shape @ a
+    denom = float(a @ ea)
+    if denom <= 0:
+        raise NumericalError("ellipsoid lost positive definiteness")
+    g = ea / math.sqrt(denom)
+    beta = cut_level
+    gamma = (1.0 - n * beta) / (n + 1.0)
+    new_center = center - gamma * g
+    factor = (n * n * (1.0 - beta * beta)) / (n * n - 1.0)
+    new_shape = factor * (shape - (2.0 * gamma / (1.0 - beta)) * np.outer(g, g))
+    new_shape = 0.5 * (new_shape + new_shape.T)
+    return new_center, new_shape
 
 
 # ---------------------------------------------------------------------------

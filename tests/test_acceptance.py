@@ -403,7 +403,7 @@ class TestRoundingContract:
             bound = 2.0 * n * (1.0 + 1e-6)
             assert q.r <= bound
             if q.a.shape[0]:
-                assert np.all(q.b / q.row_norms >= 1.0 - 1e-9)
+                assert np.all(q.b / np.linalg.norm(q.a, axis=1) >= 1.0 - 1e-9)
             for _ in range(10):
                 direction = rng.normal(size=n)
                 direction /= np.linalg.norm(direction)

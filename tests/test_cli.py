@@ -149,3 +149,22 @@ class TestOutput:
         first = capsys.readouterr().out
         assert main(["-P", "-w=0", "--seed=3", "--json", F1]) == 0
         assert capsys.readouterr().out == first
+
+    def test_sheared_cube_estimate(self, tmp_path, capsys):
+        # S(6, 30) = {|x_j + 30 x_(j+1)| <= 1, |x_6| <= 1} has volume 2^6;
+        # an explicit-form rounding ellipsoid loses positive definiteness on it.
+        n, k = 6, 30
+        lines = [f"p cnf v lc {2 * n} {2 * n} {n} {2 * n}"]
+        for j in range(n):
+            row = [0] * n
+            row[j] = 1
+            if j + 1 < n:
+                row[j + 1] = k
+            for sign in (1, -1):
+                lines.append(f"m{len(lines)} " + " ".join(str(sign * c) for c in row) + " <= 1")
+        lines += [f"{i} 0" for i in range(1, 2 * n + 1)]
+        body = tmp_path / "sheared.vs"
+        body.write_text("\n".join(lines) + "\n")
+        assert main(["-P", "-w=0", "--json", str(body)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["totals"]["estimate"] == pytest.approx(64.0, rel=0.15)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from volcount.errors import NumericalError, UnboundedError
+from volcount.errors import UnboundedError
 from volcount.estimate import (
     CHAINS,
     Chains,
-    Ellipsoid,
     RoundedPolytope,
     estimate_volume,
     phase_count,
@@ -22,7 +21,7 @@ from volcount.estimate import (
 from volcount.exact import exact_volume
 from volcount.model import make_polytope
 
-from oracles import ball_volume, ineq, poly, sheared_cube
+from oracles import ball_volume, explicit_shallow_cut, ineq, poly, sheared_cube
 
 
 def box_poly(bounds):
@@ -92,10 +91,9 @@ class TestPhaseIndex:
 
 class TestShallowCut:
     def test_central_cut_matches_textbook(self):
-        e = Ellipsoid(center=np.zeros(2), shape=np.eye(2))
-        out = shallow_cut_update(e, np.array([1.0, 0.0]), 0.0)
-        assert out.center == pytest.approx([-1.0 / 3.0, 0.0])
-        assert out.shape == pytest.approx(np.diag([4.0 / 9.0, 4.0 / 3.0]))
+        center, factor = shallow_cut_update(np.zeros(2), np.eye(2), np.array([1.0, 0.0]), 0.0)
+        assert center == pytest.approx([-1.0 / 3.0, 0.0])
+        assert factor @ factor.T == pytest.approx(np.diag([4.0 / 9.0, 4.0 / 3.0]))
 
     def test_cut_region_stays_inside(self):
         rng = np.random.default_rng(5)
@@ -104,24 +102,50 @@ class TestShallowCut:
             basis = rng.normal(size=(n, n))
             shape = basis @ basis.T + 0.5 * np.eye(n)
             center = rng.normal(size=n)
-            e = Ellipsoid(center=center, shape=shape)
             a = rng.normal(size=n)
             beta = 1.0 / (2 * n)
-            out = shallow_cut_update(e, a, beta)
+            chol = np.linalg.cholesky(shape)
+            out_center, out_factor = shallow_cut_update(center, chol, a, beta)
             # rejection-sample the cut ellipsoid; every kept point must
             # belong to the updated ellipsoid
-            chol = np.linalg.cholesky(shape)
             level = float(a @ center + beta * math.sqrt(a @ shape @ a))
-            inv_out = np.linalg.inv(out.shape)
+            inv_out = np.linalg.inv(out_factor @ out_factor.T)
             pts = rng.normal(size=(4000, n))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             pts *= rng.random(size=(4000, 1)) ** (1.0 / n)
             pts = center + pts @ chol.T
             kept = pts[pts @ a <= level]
             assert len(kept) > 0
-            d = kept - out.center
+            d = kept - out_center
             quad = np.einsum("ij,jk,ik->i", d, inv_out, d)
             assert float(quad.max()) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_factor_form_tracks_explicit_form(self, n):
+        # Drive the factor form and the explicit form through the rounding
+        # loop of round_polytope: both must pick the same worst row at every
+        # cut and describe the same ellipsoid throughout.
+        rng = np.random.default_rng(700 + n)
+        a, b = random_full_dim(rng, n, extra_rows=n).inequality_arrays()
+        beta = 1.0 / (2.0 * n)
+        # The ball of radius 10n holds the box [-8, 8]^n around the body.
+        center = np.zeros(n)
+        shape = np.eye(n) * (10.0 * n) ** 2
+        f_center, factor = center, np.eye(n) * (10.0 * n)
+        cuts = 0
+        while True:
+            worst = int(np.argmax(a @ center + beta * np.sqrt(np.einsum("ij,jk,ik->i", a, shape, a)) - b))
+            f_viol = a @ f_center + beta * np.linalg.norm(a @ factor, axis=1) - b
+            assert int(np.argmax(f_viol)) == worst
+            if f_viol[worst] <= 1e-11 * max(1.0, float(np.linalg.norm(a[worst]))):
+                break
+            center, shape = explicit_shallow_cut(center, shape, a[worst], beta)
+            f_center, factor = shallow_cut_update(f_center, factor, a[worst], beta)
+            cuts += 1
+            scale = float(np.linalg.norm(shape))
+            assert np.linalg.norm(factor @ factor.T - shape) <= 1e-9 * scale
+            assert np.linalg.norm(f_center - center) <= 1e-9 * math.sqrt(scale)
+        assert cuts > 2 * n
 
 
 class TestRounding:
@@ -130,7 +154,7 @@ class TestRounding:
         q = round_polytope(p)
         assert q is not None
         assert q.r == pytest.approx(4.0)
-        assert np.all(q.b / q.row_norms >= 1.0 - 1e-9)
+        assert np.all(q.b / np.linalg.norm(q.a, axis=1) >= 1.0 - 1e-9)
         # volume identity: vol(P) = vol(Q) * exp(log_scale)
         rows = [ineq([Fraction(x).limit_denominator(10**9) for x in row], Fraction(float(bi)).limit_denominator(10**9)) for row, bi in zip(q.a, q.b)]
         vol_q = exact_volume(poly(rows, 2))
@@ -152,12 +176,16 @@ class TestRounding:
     def test_zero_dim_returns_none(self):
         assert round_polytope(make_polytope([], 0)) is None
 
-    @pytest.mark.parametrize("n, k", [(6, 30), (12, 6)])
-    def test_lost_definiteness_raises(self, n, k):
-        # The explicit-form shallow-cut update loses positive definiteness
-        # on these bodies of volume 2^n; that must not read as volume 0.
-        with pytest.raises(NumericalError):
-            round_polytope(sheared_cube(n, k))
+    @pytest.mark.parametrize("n, k", [(6, 30), (12, 6), (16, 3)])
+    def test_sheared_cube_rounds_and_estimates(self, n, k):
+        # The explicit-form update loses positive definiteness on these
+        # bodies of volume 2^n; the factor form rounds them, and the
+        # estimate must land near 2^n, never at volume 0.
+        q = round_polytope(sheared_cube(n, k))
+        assert q is not None
+        assert np.all(q.b / np.linalg.norm(q.a, axis=1) >= 1.0 - 1e-9)
+        result = estimate_volume(q, 200 * phase_count(q), seed=1)
+        assert result.volume == pytest.approx(2.0**n, rel=0.15)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_random_bodies_meet_contract(self, n):
@@ -165,7 +193,7 @@ class TestRounding:
         p = random_full_dim(rng, n, extra_rows=n)
         q = round_polytope(p)
         assert q is not None
-        assert np.all(q.b / q.row_norms >= 1.0 - 1e-9)
+        assert np.all(q.b / np.linalg.norm(q.a, axis=1) >= 1.0 - 1e-9)
         for _ in range(40):
             c = rng.normal(size=n)
             c /= np.linalg.norm(c)

@@ -28,7 +28,6 @@ from .model import (
     Formula,
     LinearConstraint,
     NumericKind,
-    OutputMode,
     Polytope,
     SolverConfig,
     bunch_multiplier,
@@ -37,7 +36,7 @@ from .model import (
     normalize_constraint,
 )
 from .smt2 import parse_smt2
-from .volce import parse_volce, print_volce
+from .volce import parse_volce
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,6 @@ __all__ = [
     "LinearConstraint",
     "NumericKind",
     "NumericalError",
-    "OutputMode",
     "ParseError",
     "Polytope",
     "RunReport",
@@ -70,7 +68,6 @@ __all__ = [
     "normalize_constraint",
     "parse_smt2",
     "parse_volce",
-    "print_volce",
     "round_polytope",
     "run",
     "two_round_sizes",

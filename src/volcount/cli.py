@@ -16,7 +16,7 @@ from .errors import (
     TimeoutExceeded,
     UsageError,
 )
-from .model import Backend, NumericKind, OutputMode, SolverConfig
+from .model import Backend, NumericKind, SolverConfig
 
 USAGE = """\
 usage: volcount [options] INPUT
@@ -36,7 +36,6 @@ options:
   -minc=N       first-round samples per phase = N * phases (default 40)
   -maxc=N       second-round cap per phase = N * phases (default 1600)
   --seed=N      random seed (default 0)
-  --burnin=N    lock steps each sampling chain discards per phase (default 0)
   --timeout=S   per-run time limit in seconds
   --json        machine-readable report on stdout
   --help        show this message
@@ -48,6 +47,7 @@ class CliRequest:
     config: SolverConfig
     input_path: Optional[str]
     show_help: bool = False
+    json: bool = False
 
 
 def _int_option(text: str, name: str) -> int:
@@ -63,9 +63,8 @@ def parse_cli(argv: list[str]) -> CliRequest:
     min_coeff = 40
     max_coeff = 1600
     seed = 0
-    burnin = 0
     timeout: Optional[float] = None
-    output_mode = OutputMode.TEXT
+    json = False
     input_path: Optional[str] = None
 
     for arg in argv:
@@ -85,8 +84,6 @@ def parse_cli(argv: list[str]) -> CliRequest:
             max_coeff = _int_option(arg[6:], "-maxc")
         elif arg.startswith("--seed="):
             seed = _int_option(arg[7:], "--seed")
-        elif arg.startswith("--burnin="):
-            burnin = _int_option(arg[9:], "--burnin")
         elif arg.startswith("--timeout="):
             try:
                 timeout = float(arg[10:])
@@ -95,7 +92,7 @@ def parse_cli(argv: list[str]) -> CliRequest:
                     f"--timeout expects a number, got {arg[10:]!r}"
                 ) from None
         elif arg == "--json":
-            output_mode = OutputMode.JSON
+            json = True
         elif arg.startswith("-"):
             raise UsageError(f"unknown option {arg!r}")
         elif input_path is None:
@@ -112,13 +109,11 @@ def parse_cli(argv: list[str]) -> CliRequest:
             max_coeff=max_coeff,
             backends=frozenset(backends),
             seed=seed,
-            output_mode=output_mode,
             timeout=timeout,
-            burnin=burnin,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return CliRequest(config, input_path)
+    return CliRequest(config, input_path, json=json)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -153,7 +148,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(f"backend error: {exc}\n")
         return 3
 
-    if request.config.output_mode is OutputMode.JSON:
+    if request.json:
         sys.stdout.write(report.to_json())
     else:
         sys.stdout.write(report.to_text())

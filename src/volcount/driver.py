@@ -167,7 +167,7 @@ def load_formula(path: str) -> Formula:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if path.endswith(".smt2"):
         from .smt2 import parse_smt2
@@ -256,9 +256,12 @@ def _run_simple(key: str, outcomes, geometry, worker: Callable) -> None:
 def _run_estimate(config, n, outcomes, geometry, deadline) -> Optional[dict]:
     """Two-round volume estimation across all bunches.
 
-    Round one samples every bunch at the minimum rate; round two re-runs the
-    big bunches with sizes proportional to their round-one volumes, capped at
-    the maximum rate.  Per-phase sizes are coefficient * number of phases.
+    Round one rounds every body and samples it at the minimum rate (stream
+    0).  two_round_sizes then gives each bunch a second-round size in
+    proportion to its round-one volume, capped at the maximum rate; a bunch
+    with a size is sampled again at that size (stream 1), and that estimate
+    replaces its round-one value.  Both rounds of bunch i draw from seed
+    ``config.seed ^ i``.  Per-phase sizes are coefficient * number of phases.
     """
     key = _BACKEND_KEYS[Backend.ESTIMATE]
     if n == 0:
@@ -270,72 +273,47 @@ def _run_estimate(config, n, outcomes, geometry, deadline) -> Optional[dict]:
     smin = config.min_coeff * phases
     smax = config.max_coeff * phases
 
-    def round_one(polytope, index):
+    first = []
+    for i, (outcome, (polytope, _)) in enumerate(zip(outcomes, geometry)):
+        rounded, volume, fresh = None, 0.0, 0
         try:
             rounded = est_mod.round_polytope(polytope, deadline)
-            if rounded is None:
-                return 0.0, None, 0, None
-            result = est_mod.estimate_volume(
-                rounded,
-                smin,
-                seed=config.seed ^ index,
-                stream=0,
-                burnin=config.burnin,
-                deadline=deadline,
-            )
-            return result.volume, rounded, result.ledger.fresh_total, None
+            if rounded is not None:
+                result = est_mod.estimate_volume(
+                    rounded, smin, seed=config.seed ^ i, stream=0, deadline=deadline
+                )
+                volume, fresh = result.volume, result.ledger.fresh_total
         except BackendError as exc:
-            return 0.0, None, 0, str(exc)
-
-    first = [round_one(poly, i) for i, (poly, _) in enumerate(geometry)]
-    volumes = [v for v, _, _, _ in first]
-    sizes = two_round_sizes(volumes, smin, smax)
-
-    def round_two(index, rounded, size):
-        try:
-            result = est_mod.estimate_volume(
-                rounded,
-                size,
-                seed=config.seed ^ index,
-                stream=1,
-                burnin=config.burnin,
-                deadline=deadline,
-            )
-        except BackendError as exc:
-            return 0.0, 0, str(exc)
-        return result.volume, result.ledger.fresh_total, None
-
-    second = {
-        i: round_two(i, first[i][1], sizes[i])
-        for i in range(len(outcomes))
-        if sizes[i] is not None and first[i][1] is not None and first[i][3] is None
-    }
+            outcome.errors[key] = str(exc)
+            rounded = None
+        first.append((rounded, volume, fresh))
+    sizes = two_round_sizes([volume for _, volume, _ in first], smin, smax)
 
     used_coeffs = []
-    for i, outcome in enumerate(outcomes):
-        volume, rounded, fresh1, err = first[i]
-        if err is not None:
-            outcome.errors[key] = err
+    for i, (outcome, (rounded, volume, fresh), size) in enumerate(zip(outcomes, first, sizes)):
+        if key in outcome.errors:
             continue
-        round2 = second.get(i)
-        if round2 is not None and round2[2] is not None:
-            outcome.errors[key] = round2[2]
-            continue
-        if round2 is not None:
-            outcome.values[key] = round2[0]
-        else:
-            outcome.values[key] = volume
-        samples1 = smin if rounded is not None else 0
-        samples2 = sizes[i] if round2 is not None else 0
-        fresh = fresh1 + (round2[1] if round2 is not None else 0)
+        if size is not None:
+            try:
+                again = est_mod.estimate_volume(
+                    rounded, size, seed=config.seed ^ i, stream=1, deadline=deadline
+                )
+            except BackendError as exc:
+                outcome.errors[key] = str(exc)
+                continue
+            volume = again.volume
+            fresh += again.ledger.fresh_total
+        outcome.values[key] = volume
+        samples1 = 0 if rounded is None else smin
+        samples2 = size or 0
         outcome.sampling = {
             "round1": samples1,
-            "round2": samples2 or 0,
+            "round2": samples2,
             "fresh": fresh,
             "phases": phases,
         }
         if rounded is not None:
-            used_coeffs.append((samples1 + (samples2 or 0)) / phases)
+            used_coeffs.append((samples1 + samples2) / phases)
 
     avg_coeff = sum(used_coeffs) / len(used_coeffs) if used_coeffs else 0.0
     return {

@@ -289,7 +289,6 @@ def estimate_volume(
     samples_per_phase: int,
     seed: int,
     stream: int = 0,
-    burnin: int = 0,
     deadline: Optional[float] = None,
 ) -> EstimateResult:
     """Multiphase Monte-Carlo volume of a rounded polytope.
@@ -298,10 +297,11 @@ def estimate_volume(
     vol(K_{i+1}) / vol(K_i) with K_i = B(0, 2^(i/n)) intersect q, reusing
     points stored by outer phases when they land inside the current ball and
     topping up with fresh points from CHAINS lock-step hit-and-run chains
-    until ``samples_per_phase`` are available.  Each phase first discards
-    ``burnin`` lock steps per chain.  The product of the per-phase ratios
-    times the unit-ball volume, rescaled by ``q.log_scale``, is the volume
-    estimate.  One-dimensional bodies are measured exactly.
+    until ``samples_per_phase`` are available.  Only the outermost phase
+    first discards WARMUP_PER_DIM * n lock steps per chain.  The product of
+    the per-phase ratios times the unit-ball volume, rescaled by
+    ``q.log_scale``, is the volume estimate.  One-dimensional bodies are
+    measured exactly.
     """
     if samples_per_phase < 1:
         raise ValueError("need at least one sample per phase")
@@ -342,7 +342,7 @@ def estimate_volume(
             chains.resync()
 
         need = max(0, samples_per_phase - int(bucket_counts[: i + 2].sum()))
-        discard = burnin + (WARMUP_PER_DIM * n if i == num_phases - 1 else 0)
+        discard = WARMUP_PER_DIM * n if i == num_phases - 1 else 0
         lock_steps = discard + STRIDE * -(-need // CHAINS)
         for step in range(lock_steps):
             if step % _RESYNC_EVERY == 0:

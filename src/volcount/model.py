@@ -312,11 +312,6 @@ def bunch_polytope(
     return make_polytope(rows, n), deferred
 
 
-class OutputMode(Enum):
-    TEXT = "text"
-    JSON = "json"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters shared by the driver and the backends."""
@@ -326,16 +321,12 @@ class SolverConfig:
     max_coeff: int = 1600
     backends: frozenset[Backend] = frozenset({Backend.ESTIMATE})
     seed: int = 0
-    output_mode: OutputMode = OutputMode.TEXT
     timeout: Optional[float] = None
-    burnin: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.word_length <= 62:
             raise ValueError("word length must be within 0..62")
         if self.min_coeff < 1 or self.max_coeff < self.min_coeff:
             raise ValueError("need 1 <= min_coeff <= max_coeff")
-        if self.burnin < 0:
-            raise ValueError("burn-in must be nonnegative")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive")

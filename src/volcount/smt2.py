@@ -359,6 +359,9 @@ def _parse_number(s: str) -> Optional[Fraction]:
 def parse_smt2(text: str) -> Formula:
     """Parse an SMT-LIB 2 script (the supported subset) into a Formula."""
     parser = _Parser()
-    for sexpr in read_sexprs(tokenize(text)):
-        parser.command(sexpr)
-    return parser.formula()
+    try:
+        for sexpr in read_sexprs(tokenize(text)):
+            parser.command(sexpr)
+        return parser.formula()
+    except RecursionError:
+        raise ParseError("terms nest too deeply") from None

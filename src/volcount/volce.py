@@ -22,7 +22,6 @@ from .model import (
 )
 
 _OPS = {"<": Cmp.LT, "<=": Cmp.LE, ">": Cmp.GT, ">=": Cmp.GE, "=": Cmp.EQ}
-_OP_NAMES = {v: k for k, v in _OPS.items()}
 
 
 def parse_volce(text: str) -> Formula:
@@ -136,31 +135,3 @@ def _parse_clause(line: str, num_bool: int, where: str) -> tuple[int, ...]:
             raise ParseError(f"{where}: variable {var} repeats within a clause")
         seen.add(var)
     return tuple(lits)
-
-
-def print_volce(formula: Formula) -> str:
-    """Serialize a formula back to the enhanced DIMACS format.
-
-    Parsing the output reproduces the formula (constraints are already
-    canonical, so the text round-trips exactly).
-    """
-    lines = [
-        "p cnf v lc {} {} {} {}".format(
-            formula.num_bool_vars,
-            len(formula.clauses),
-            formula.num_numeric_vars,
-            len(formula.atom_map),
-        )
-    ]
-    for idx in sorted(formula.atom_map):
-        c = formula.atom_map[idx]
-        if c.op is Cmp.EQ:
-            op = "="
-        else:
-            op = "<" if c.strict else "<="
-        coeffs = " ".join(str(x) for x in c.coeffs)
-        sep = " " if coeffs else ""
-        lines.append(f"m{idx} {coeffs}{sep}{op} {c.rhs}")
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"

@@ -449,3 +449,35 @@ def lagrange_value(points, x) -> Fraction:
                 term *= Fraction(x - xj, xi - xj)
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# enhanced DIMACS serialization (round-trip partner of volcount.volce)
+
+
+def print_volce(formula: Formula) -> str:
+    """Serialize a formula back to the enhanced DIMACS format.
+
+    Parsing the output reproduces the formula (constraints are already
+    canonical, so the text round-trips exactly).
+    """
+    lines = [
+        "p cnf v lc {} {} {} {}".format(
+            formula.num_bool_vars,
+            len(formula.clauses),
+            formula.num_numeric_vars,
+            len(formula.atom_map),
+        )
+    ]
+    for idx in sorted(formula.atom_map):
+        c = formula.atom_map[idx]
+        if c.op is Cmp.EQ:
+            op = "="
+        else:
+            op = "<" if c.strict else "<="
+        coeffs = " ".join(str(x) for x in c.coeffs)
+        sep = " " if coeffs else ""
+        lines.append(f"m{idx} {coeffs}{sep}{op} {c.rhs}")
+    for clause in formula.clauses:
+        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ import pytest
 
 from volcount.cli import USAGE, main, parse_cli
 from volcount.errors import UsageError
-from volcount.model import Backend, OutputMode
+from volcount.model import Backend
 
 FIXTURES = Path(__file__).parent / "fixtures"
 F1 = str(FIXTURES / "f1.vs")
@@ -23,9 +23,8 @@ class TestParsing:
         assert config.word_length == 8
         assert (config.min_coeff, config.max_coeff) == (40, 1600)
         assert config.seed == 0
-        assert config.burnin == 0
         assert config.timeout is None
-        assert config.output_mode is OutputMode.TEXT
+        assert not request.json
 
     def test_every_flag(self):
         request = parse_cli(
@@ -37,7 +36,6 @@ class TestParsing:
                 "-minc=10",
                 "-maxc=100",
                 "--seed=9",
-                "--burnin=5",
                 "--timeout=2.5",
                 "--json",
                 "problem.smt2",
@@ -50,25 +48,25 @@ class TestParsing:
         assert config.word_length == 6
         assert (config.min_coeff, config.max_coeff) == (10, 100)
         assert config.seed == 9
-        assert config.burnin == 5
         assert config.timeout == pytest.approx(2.5)
-        assert config.output_mode is OutputMode.JSON
+        assert request.json
         assert request.input_path == "problem.smt2"
 
     def test_help_short_circuits(self):
         request = parse_cli(["--help"])
         assert request.show_help
 
-    def test_unknown_flag(self):
+    @pytest.mark.parametrize("flag", ["-X", "--burnin=5"])
+    def test_unknown_flag(self, flag):
         with pytest.raises(UsageError, match="unknown option"):
-            parse_cli(["-X", "input.vs"])
+            parse_cli([flag, "input.vs"])
 
     def test_two_input_paths(self):
         with pytest.raises(UsageError, match="unexpected extra argument"):
             parse_cli(["a.vs", "b.vs"])
 
     @pytest.mark.parametrize(
-        "flag", ["-w=abc", "-minc=", "-maxc=1.5", "--seed=x", "--burnin=?"]
+        "flag", ["-w=abc", "-minc=", "-maxc=1.5", "--seed=x"]
     )
     def test_non_integer_option_values(self, flag):
         with pytest.raises(UsageError, match="expects an integer"):
@@ -106,9 +104,25 @@ class TestExitCodes:
         assert main(["definitely_not_here.vs"]) == 2
         assert "parse error:" in capsys.readouterr().err
 
-    def test_malformed_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.vs"
-        bad.write_text("this is not a constraint file\n")
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("bad.vs", b"this is not a constraint file\n"),
+            ("latin1.vs", b"p cnf v lc 1 1 1 1\nm1 1 <= 1 \xe9\n1 0\n"),
+            (
+                "deep.smt2",
+                b"(declare-fun x () Real)\n(assert "
+                + b"(not " * 3000
+                + b"(> x 0)"
+                + b")" * 3000
+                + b")\n",
+            ),
+        ],
+        ids=["not-volce", "not-utf8", "deep-term"],
+    )
+    def test_malformed_file(self, tmp_path, capsys, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
         assert main([str(bad)]) == 2
         assert "parse error:" in capsys.readouterr().err
 

@@ -325,12 +325,6 @@ class TestEstimate:
         b = estimate_volume(q, 600, seed=77, stream=1)
         assert a.volume != b.volume
 
-    def test_burnin_discards_but_still_estimates(self):
-        q = ball_shaped(2, 2)
-        result = estimate_volume(q, 500, seed=5, burnin=50)
-        want = ball_volume(2) * 4.0
-        assert result.volume == pytest.approx(want, rel=0.15)
-
     def test_volume_identity_with_ledger(self):
         q = ball_shaped(4, 4)
         result = estimate_volume(q, 400, seed=11)

@@ -270,7 +270,6 @@ class TestSolverConfig:
             {"word_length": -1},
             {"min_coeff": 0},
             {"min_coeff": 50, "max_coeff": 10},
-            {"burnin": -1},
             {"timeout": 0.0},
         ],
     )

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from volcount.errors import ParseError
 from volcount.model import Cmp, NumericKind
-from volcount.volce import parse_volce, print_volce
+from volcount.volce import parse_volce
+
+from oracles import print_volce
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -1,25 +1,27 @@
 """Exact integer-point counting for conjunctions of linear constraints.
 
 The core works on integer rows ``a . x <= b`` (strict and equality rows are
-rewritten exactly up front) and integer disequalities ``a . x != b``.  It
-alternates four exact reductions:
+rewritten exactly up front) and integer disequalities ``a . x != b``, with
+a finite integer interval for every variable.  It alternates four exact
+reductions:
 
 * interval propagation to a fixpoint — single-variable rows pin or tighten a
   variable exactly; rows satisfied over the whole current box drop out;
 * connected-component split — variables not linked by any remaining row or
   disequality contribute independent factors that multiply;
-* symbolic summation of a component with no disequalities, a finite
-  interval for every variable and only difference rows ``g x_i - g x_j <=
-  b`` (read as ``x_i - x_j <= floor(b / g)``): variables are eliminated one
-  at a time, splitting into cases on which lower and which upper bound
-  binds, and each is summed out of a polynomial weight with Faulhaber's
-  formulas (Pugh, "Counting solutions to Presburger formulas", PLDI 1994).
-  The case conditions are difference rows again, so the weight stays a
-  polynomial; the work depends on the rows, not on the widths of the
-  intervals, and the arithmetic is exact integer and rational;
-* branching on the narrowest bounded variable, for every other component,
-  with LP-derived integer bounds as a fallback when propagation leaves a
-  variable unbounded.
+* symbolic summation of a component with no disequalities and only
+  difference rows ``g x_i - g x_j <= b`` (read as ``x_i - x_j <= floor(b /
+  g)``): variables are eliminated one at a time, splitting into cases on
+  which lower and which upper bound binds, and each is summed out of a
+  polynomial weight with Faulhaber's formulas (Pugh, "Counting solutions to
+  Presburger formulas", PLDI 1994).  The case conditions are difference
+  rows again, so the weight stays a polynomial; the work depends on the
+  rows, not on the widths of the intervals, and the arithmetic is exact
+  integer and rational;
+* branching on the narrowest variable, for every other component.  The
+  intervals are set once, at the root: exactly where rows bound a variable
+  through ends already set, from the LP relaxation of the input for the
+  ends left open.
 
 Each component's count is cached on its rows, disequalities and variable
 intervals, in one memo per ``count_integer_points`` call, so a subproblem
@@ -67,9 +69,11 @@ def count_integer_points(
     expanded into equality sub-problems.  Component counts are cached for
     the duration of this call only.
 
-    Raises UnboundedError when the count would be infinite (some variable
-    runs free), so callers must box the variables first unless the
-    constraints themselves bound everything.
+    The count is 0 when some variable's integer range is empty; otherwise
+    UnboundedError is raised when the LP relaxation is unbounded, even if
+    the body holds no integer point (with an unbounded relaxation it holds
+    none or infinitely many: Meyer, Math. Programming 1974).  So callers
+    must box the variables unless the constraints bound them all.
     """
     if p.contradictory:
         return 0
@@ -91,8 +95,62 @@ def count_integer_points(
             raise ValueError("deferred constraints must be equalities")
         neqs.append(_integer_row(c.coeffs, c.rhs))
 
-    intervals = {j: (None, None) for j in range(p.n)}
+    intervals = _root_intervals(p, rows)
+    if intervals is None:
+        return 0
     return _count_core(rows, intervals, neqs, {}, deadline)
+
+
+def _root_intervals(p: Polytope, rows) -> Optional[dict]:
+    """A finite integer interval for every variable of ``p``, whose integer
+    rows are ``rows``; None when some interval is empty.
+
+    Each pass fills the open ends that a row bounds through ends already
+    filled, the least value of the rest of ``a . x <= b`` giving a floor or
+    ceiling for ``x_v``; the tightest bound of a pass wins, so no order of
+    rows or variables matters.  Every pass but the last fills one of the 2n
+    ends or more.  Ends still open after the last pass take
+    ``lp.integer_bounds`` on ``p``.  Emptiness wins over unboundedness: an
+    unbounded variable raises only once every other range is non-empty.
+    """
+    ends = [[None, None] for _ in range(p.n)]  # [lo, hi] of each variable
+    while True:
+        fills: dict = {}
+        for coeffs, rhs in rows:
+            for v, c in coeffs.items():
+                if ends[v][c > 0] is not None:
+                    continue
+                rest = [(d, ends[u][d < 0]) for u, d in coeffs.items() if u != v]
+                if any(end is None for _, end in rest):
+                    continue
+                q = rhs - sum(d * end for d, end in rest)
+                value = q // c if c > 0 else -(-q // c)
+                best = fills.get((v, c > 0), value)
+                fills[v, c > 0] = min(best, value) if c > 0 else max(best, value)
+        if not fills:
+            break
+        for (v, side), value in fills.items():
+            ends[v][side] = value
+
+    intervals = {}
+    unbounded = False
+    for v, (lo, hi) in enumerate(ends):
+        if lo is None or hi is None:
+            try:
+                bounds = lp.integer_bounds(p, v)
+            except UnboundedError:
+                unbounded = True
+                continue
+            if bounds is None:
+                return None
+            lo = bounds[0] if lo is None else lo
+            hi = bounds[1] if hi is None else hi
+        if lo > hi:
+            return None
+        intervals[v] = (lo, hi)
+    if unbounded:
+        raise UnboundedError("cannot count an infinite set")
+    return intervals
 
 
 def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[dict, int]:
@@ -104,7 +162,7 @@ def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[dict, int]:
 
 def _count_core(rows, intervals, neqs, memo, deadline) -> int:
     """Count integer points of ``rows`` and ``neqs`` with variables limited
-    to ``intervals`` (endpoints may be None for unbounded)."""
+    to the finite ``intervals``."""
     check_deadline(deadline)
     state = _propagate(rows, intervals, neqs)
     if state is None:
@@ -120,7 +178,7 @@ def _count_core(rows, intervals, neqs, memo, deadline) -> int:
             total *= _free_block(var_group, intervals, neq_group)
             continue
         sub_intervals = {v: intervals[v] for v in var_group}
-        if not neq_group and _is_difference_system(row_group, sub_intervals):
+        if not neq_group and _is_difference_system(row_group):
             total *= _sum_differences(row_group, sub_intervals, memo, deadline)
         else:
             total *= _branch(row_group, sub_intervals, neq_group, memo, deadline)
@@ -138,8 +196,6 @@ def _free_block(var_group, intervals, holes) -> int:
     count = 1
     for v in var_group:
         lo, hi = intervals[v]
-        if lo is None or hi is None:
-            raise UnboundedError("cannot count an infinite set")
         count *= hi - lo + 1
     return count - len(holes)
 
@@ -152,18 +208,8 @@ def _branch(rows, intervals, neqs, memo, deadline) -> int:
     if hit is not None:
         return hit
     check_deadline(deadline)
-    bounded = [
-        (hi - lo, v) for v, (lo, hi) in intervals.items() if lo is not None and hi is not None
-    ]
-    if bounded:
-        _, var = min(bounded)
-        lo, hi = intervals[var]
-    else:
-        var = min(intervals)
-        lo, hi = _lp_bounds(rows, intervals, var)
-        if lo is None:
-            memo[key] = 0
-            return 0
+    _, var = min((hi - lo, v) for v, (lo, hi) in intervals.items())
+    lo, hi = intervals[var]
 
     # What is left of each row and disequality once ``var`` is fixed; only
     # the right-hand side depends on the value.  The order of the rows is
@@ -210,10 +256,10 @@ def _fix(plan, var, value, is_row):
 
 
 def _key(rows, neqs, intervals) -> tuple:
-    """Exact cache key of a component as one flat tuple of ints (None for
-    an open interval end): the numbers of rows and disequalities, each row
-    and disequality as its length, its (variable, coefficient) pairs and
-    its right-hand side, then each variable with its interval."""
+    """Exact cache key of a component as one flat tuple of ints: the
+    numbers of rows and disequalities, each row and disequality as its
+    length, its (variable, coefficient) pairs and its right-hand side, then
+    each variable with its interval."""
     key = [len(rows), len(neqs)]
     for coeffs, rhs in (*rows, *neqs):
         key.append(len(coeffs))
@@ -225,47 +271,13 @@ def _key(rows, neqs, intervals) -> tuple:
     return tuple(key)
 
 
-def _lp_bounds(rows, intervals, var):
-    """Integer bounds for a variable with no finite propagated interval,
-    via the LP relaxation of this component."""
-    var_list = sorted(intervals)
-    pos = {v: j for j, v in enumerate(var_list)}
-    n = len(var_list)
-    poly_rows = []
-    for coeffs, rhs in rows:
-        vec = tuple(Fraction(coeffs.get(v, 0)) for v in var_list)
-        poly_rows.append(LinearConstraint(vec, Cmp.LE, Fraction(rhs)))
-    for v in var_list:
-        lo, hi = intervals[v]
-        unit = tuple(Fraction(int(u == v)) for u in var_list)
-        if hi is not None:
-            poly_rows.append(LinearConstraint(unit, Cmp.LE, Fraction(hi)))
-        if lo is not None:
-            poly_rows.append(LinearConstraint(tuple(-u for u in unit), Cmp.LE, Fraction(-lo)))
-    poly = Polytope(tuple(poly_rows), n)
-    try:
-        bounds = lp.integer_bounds(poly, pos[var])
-    except UnboundedError as exc:
-        raise UnboundedError("cannot count an infinite set") from exc
-    if bounds is None:
-        return None, None
-    return bounds
-
-
-def _is_difference_system(rows, intervals) -> bool:
-    """Whether a component can be summed symbolically: every interval is
-    finite and every row bounds one variable or the difference of two
-    (coefficients g and -g)."""
-    if any(lo is None or hi is None for lo, hi in intervals.values()):
-        return False
-    for coeffs, _ in rows:
-        if len(coeffs) == 2:
-            a, b = coeffs.values()
-            if a != -b:
-                return False
-        elif len(coeffs) != 1:
-            return False
-    return True
+def _is_difference_system(rows) -> bool:
+    """Whether a component can be summed symbolically: every row bounds
+    one variable or the difference of two (coefficients g and -g)."""
+    return all(
+        len(coeffs) == 1 or (len(coeffs) == 2 and sum(coeffs.values()) == 0)
+        for coeffs, _ in rows
+    )
 
 
 def _sum_differences(rows, intervals, memo, deadline) -> int:
@@ -528,59 +540,28 @@ def _propagate(rows, intervals, neqs):
                     if 0 > rhs:
                         return None
                     continue
-                # Row-wide minimum and maximum of a.x over the current box,
-                # each as a finite sum plus the number of open ends in it.
-                lo_sum = hi_sum = 0
-                lo_open = hi_open = 0
-                for v, c in coeffs.items():
-                    if c > 0:
-                        mn, mx = ivs[v]
-                    else:
-                        mx, mn = ivs[v]
-                    if mn is None:
-                        lo_open += 1
-                    else:
-                        lo_sum += c * mn
-                    if mx is None:
-                        hi_open += 1
-                    else:
-                        hi_sum += c * mx
-                if not hi_open and hi_sum <= rhs:
+                lo_sum, hi_sum = _range(coeffs, ivs)
+                if hi_sum <= rhs:
                     changed = True  # row drops out
                     continue
-                if not lo_open and lo_sum > rhs:
+                if lo_sum > rhs:
                     return None
-                if lo_open > 1:
-                    next_rows.append((coeffs, rhs))
-                    continue
                 for v, c in coeffs.items():
                     lo, hi = ivs[v]
-                    end = lo if c > 0 else hi
-                    # Minimum of the rest of the row: finite when no end is
-                    # open, or when this variable's end is the one open end.
-                    if not lo_open:
-                        rest = lo_sum - c * end
-                    elif end is None:
-                        rest = lo_sum
+                    # What the row leaves for c * x_v once the rest of it is
+                    # at its minimum.
+                    bound = rhs - lo_sum + c * (lo if c > 0 else hi)
+                    if c > 0 and bound // c < hi:
+                        hi = bound // c
+                    elif c < 0 and -(-bound // c) > lo:
+                        lo = -(-bound // c)
                     else:
                         continue
-                    bound = rhs - rest
-                    if c > 0:
-                        new_hi = bound // c
-                        if hi is not None and new_hi >= hi:
-                            continue
-                        hi = new_hi
-                    else:
-                        new_lo = -((-bound) // c)
-                        if lo is not None and new_lo <= lo:
-                            continue
-                        lo = new_lo
                     changed = True
-                    if lo is not None and hi is not None:
-                        if lo > hi:
-                            return None
-                        if lo == hi:
-                            pinned[v] = lo
+                    if lo > hi:
+                        return None
+                    if lo == hi:
+                        pinned[v] = lo
                     ivs[v] = (lo, hi)
                 next_rows.append((coeffs, rhs))
             rows = next_rows
@@ -608,6 +589,20 @@ def _propagate(rows, intervals, neqs):
         if not tightened:
             return rows, ivs, neqs
         # A hole at an interval end moved the end: propagate the rows again.
+
+
+def _range(coeffs, ivs):
+    """Least and greatest value of ``a . x`` over the box ``ivs``."""
+    least = greatest = 0
+    for v, c in coeffs.items():
+        lo, hi = ivs[v]
+        if c > 0:
+            least += c * lo
+            greatest += c * hi
+        else:
+            least += c * hi
+            greatest += c * lo
+    return least, greatest
 
 
 def _substitute(items, pinned, is_row):
@@ -650,43 +645,28 @@ def _resolve_neqs(neqs, ivs, pinned):
             ((v, c),) = coeffs.items()
             lo, hi = ivs[v]
             value = rhs // c
-            if (lo is None or lo <= value) and (hi is None or value <= hi):
+            if lo <= value <= hi:
                 holes.setdefault(v, set()).add(value)
             continue
-        lo_sum = hi_sum = 0
-        lo_open = hi_open = False
-        for v, c in coeffs.items():
-            if c > 0:
-                mn, mx = ivs[v]
-            else:
-                mx, mn = ivs[v]
-            if mn is None:
-                lo_open = True
-            else:
-                lo_sum += c * mn
-            if mx is None:
-                hi_open = True
-            else:
-                hi_sum += c * mx
-        if (lo_open or lo_sum <= rhs) and (hi_open or rhs <= hi_sum):
+        lo_sum, hi_sum = _range(coeffs, ivs)
+        if lo_sum <= rhs <= hi_sum:
             kept.append((coeffs, rhs))
 
     tightened = False
     for v, values in holes.items():
         lo, hi = ivs[v]
         start = (lo, hi)
-        while lo is not None and lo in values:
+        while lo in values:
             values.discard(lo)
             lo += 1
-        while hi is not None and hi in values:
+        while hi in values:
             values.discard(hi)
             hi -= 1
         if (lo, hi) != start:
-            if lo is not None and hi is not None:
-                if lo > hi:
-                    return None
-                if lo == hi:
-                    pinned[v] = lo
+            if lo > hi:
+                return None
+            if lo == hi:
+                pinned[v] = lo
             ivs[v] = (lo, hi)
             tightened = True
         kept.extend(({v: 1}, value) for value in sorted(values))

@@ -29,12 +29,6 @@ from .model import (
     bunch_polytope,
 )
 
-_BACKEND_KEYS = {
-    Backend.ESTIMATE: "estimate",
-    Backend.EXACT_VOLUME: "exact_volume",
-    Backend.INTEGER_COUNT: "integer_count",
-}
-
 
 def two_round_sizes(
     volumes: Sequence[float], smin: int, smax: int
@@ -199,7 +193,7 @@ def run(config: SolverConfig, formula: Formula, input_name: str = "") -> RunRepo
     sampling_summary: Optional[dict] = None
 
     for backend in sorted(config.backends, key=lambda b: b.value):
-        key = _BACKEND_KEYS[backend]
+        key = backend.value
         if backend is Backend.INTEGER_COUNT:
             _run_simple(
                 key,
@@ -263,7 +257,7 @@ def _run_estimate(config, n, outcomes, geometry, deadline) -> Optional[dict]:
     replaces its round-one value.  Both rounds of bunch i draw from seed
     ``config.seed ^ i``.  Per-phase sizes are coefficient * number of phases.
     """
-    key = _BACKEND_KEYS[Backend.ESTIMATE]
+    key = Backend.ESTIMATE.value
     if n == 0:
         for outcome in outcomes:
             outcome.values[key] = 1.0

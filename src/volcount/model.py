@@ -328,5 +328,5 @@ class SolverConfig:
             raise ValueError("word length must be within 0..62")
         if self.min_coeff < 1 or self.max_coeff < self.min_coeff:
             raise ValueError("need 1 <= min_coeff <= max_coeff")
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:
             raise ValueError("timeout must be positive")

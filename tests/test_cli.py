@@ -138,6 +138,14 @@ class TestExitCodes:
         assert main(["--timeout=0.000001", F1]) == 4
         assert "timeout:" in capsys.readouterr().err
 
+    def test_nan_timeout_is_a_usage_error(self, capsys):
+        # NaN compares false with everything, so it would never expire
+        assert main(["-L", "--timeout=nan", F1]) == 1
+        assert "error: timeout must be positive" in capsys.readouterr().err
+
+    def test_infinite_timeout_means_no_limit(self):
+        assert main(["-L", "--timeout=inf", F1]) == 0
+
 
 class TestOutput:
     def test_text_report(self, capsys):

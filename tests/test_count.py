@@ -1,4 +1,5 @@
 """Integer point counting against grid enumeration and closed forms."""
+import itertools
 import time
 import traceback
 from fractions import Fraction
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volcount import count
+from volcount import count, lp
 from volcount.cli import main
 from volcount.count import count_integer_points, strict_to_closed
 from volcount.errors import BackendError, SummationError, TimeoutExceeded, UnboundedError
 from volcount.model import Cmp, make_polytope
 
-from oracles import grid_count, ineq, poly
+from oracles import grid_count, ineq, poly, sheared_cube
 
 
 def box(n, lo, hi):
@@ -362,3 +363,82 @@ class TestSummationFallbacksAndErrors:
             with pytest.raises(SummationError, match="3/2"):
                 count_integer_points(poly(rows, 2))
         assert issubclass(SummationError, BackendError)
+
+
+def permuted(rows, perm):
+    """``rows`` with variable j renamed to ``perm[j]``."""
+    out = []
+    for coeffs, rhs, op in rows:
+        renamed = [0] * len(perm)
+        for j, c in enumerate(coeffs):
+            renamed[perm[j]] = c
+        out.append(ineq(renamed, rhs, op))
+    return out
+
+
+def outcome(p, neqs=()):
+    try:
+        return count_integer_points(p, neqs)
+    except UnboundedError as exc:
+        return type(exc)
+
+
+class TestRootIntervals:
+    """Every variable gets a finite interval once, before counting."""
+
+    TRIANGLE = [ineq([1, 1], 4), ineq([1, -2], 1), ineq([-2, 1], 1)]
+
+    def test_triangle_needs_the_lp(self):
+        # Every row has two open ends at the root, so only the LP bounds it.
+        p = poly(self.TRIANGLE, 2)
+        with mock.patch.object(lp, "integer_bounds", wraps=lp.integer_bounds) as probe:
+            assert count_integer_points(p) == grid_count(p, -1, 3) == 10
+        assert probe.call_count == 2
+
+    def test_triangle_off_the_diagonal(self):
+        p = poly(self.TRIANGLE, 2)
+        neqs = (ineq([1, -1], 0, Cmp.EQ),)
+        assert count_integer_points(p, neqs) == grid_count(p, -1, 3, neqs) == 6
+
+    def test_empty_range_wins_under_every_variable_order(self):
+        # 2x + 2z = 3 leaves x and z unbounded, but y = x + z = 3/2 has no
+        # integer value, so there is no point.
+        rows = [([2, 0, 2], 3, Cmp.EQ), ([-1, 1, -1], 0, Cmp.EQ)]
+        for perm in itertools.permutations(range(3)):
+            assert count_integer_points(poly(permuted(rows, perm), 3)) == 0
+
+    def test_no_point_in_an_unbounded_relaxation_is_an_error(self):
+        # 2y - 2x = 1 has no integer point, but no single range is empty and
+        # z runs free above: the count is not decided as 0.
+        rows = [ineq([1, 0, 0], 1), ineq([-1, 0, 0], 0), ineq([-2, 2, 0], 1, Cmp.EQ),
+                ineq([0, 1, -1], 0)]
+        with pytest.raises(UnboundedError, match="infinite"):
+            count_integer_points(poly(rows, 3))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_renaming_variables_keeps_the_outcome(self, data):
+        n = data.draw(st.integers(2, 3))
+        rows = [
+            (
+                [data.draw(st.integers(-2, 2)) for _ in range(n)],
+                data.draw(st.integers(-4, 4)),
+                data.draw(st.sampled_from([Cmp.LE, Cmp.EQ])),
+            )
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        neqs = [([data.draw(st.integers(-2, 2)) for _ in range(n)], data.draw(st.integers(-3, 3)),
+                 Cmp.EQ) for _ in range(data.draw(st.integers(0, 1)))]
+        outcomes = {
+            outcome(poly(permuted(rows, perm), n), tuple(permuted(neqs, perm)))
+            for perm in itertools.permutations(range(n))
+        }
+        assert len(outcomes) == 1
+
+    @pytest.mark.parametrize("n,k", [(4, 1000), (6, 10), (6, 64), (8, 2), (8, 30)])
+    def test_sheared_cube_is_bounded_exactly(self, n, k):
+        # |x_n| <= 1, then |x_j + k x_(j+1)| <= 1 from the end: every end is
+        # filled exactly, never by the float LP, which is wrong on some of
+        # these bodies.
+        with mock.patch.object(lp, "integer_bounds", side_effect=AssertionError):
+            assert count_integer_points(sheared_cube(n, k)) == 3**n

@@ -271,6 +271,7 @@ class TestSolverConfig:
             {"min_coeff": 0},
             {"min_coeff": 50, "max_coeff": 10},
             {"timeout": 0.0},
+            {"timeout": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BackendError, NumericalError, UnboundedError, check_deadline
 from .lp import FLATNESS_TOL, LpStatus, chebyshev_center, lp_optimize
-from .model import Polytope
+from .model import Cmp, Polytope
 
 _MASK64 = (1 << 64) - 1
 
@@ -89,34 +89,42 @@ def round_polytope(p: Polytope, deadline: Optional[float] = None) -> Optional[Ro
     """Sandwich a full-dimensional polytope between the unit ball and the
     ball of radius 2n.
 
-    Returns None when the body has (numerically) no volume: empty, flat, or
-    squeezed below the flatness threshold.  Raises UnboundedError when the
-    body is unbounded, so callers must bound variables (word-length box)
-    before estimating, and NumericalError when the rounding does not
-    converge within _MAX_CUT_ITERS cuts: a body that fails to round is an
-    error, never volume 0.
-    """
-    if p.contradictory or p.n == 0:
-        return None
-    a, b = p.inequality_arrays()
-    n = p.n
+    The body is opened by three checks, in the order ``exact_volume`` uses:
 
-    # Bounding box; detects emptiness and unboundedness up front.
+    1. a contradictory body or any equality row: None, no LP runs;
+    2. the Chebyshev radius rho: None when rho <= 0, which also covers every
+       empty body (rho < 0);
+    3. the 2n bounding-box LPs: UnboundedError on an unbounded direction, so
+       callers must bound variables (word-length box) before estimating.
+
+    A body without interior is therefore None (volume 0) even when it is
+    unbounded.  A bounded body thinner than FLATNESS_TOL cannot be rounded
+    and is None too; ``exact_volume`` measures it.  From step 3 on every
+    failure is an error, never volume 0: a bounding-box LP that does not
+    solve, an image that misses the unit ball, or a rounding that does not
+    converge within _MAX_CUT_ITERS cuts raises NumericalError.
+    """
+    if p.contradictory or p.n == 0 or any(row.op is Cmp.EQ for row in p.rows):
+        return None
+    _, rho = chebyshev_center(p)
+    if rho <= 0.0:
+        return None
+
+    a, b = p.split_arrays()[:2]
+    n = p.n
     lo = np.empty(n)
     hi = np.empty(n)
     for j in range(n):
         c = np.zeros(n)
         c[j] = 1.0
         res_hi = lp_optimize(p, c, "max")
-        if res_hi.status is LpStatus.INFEASIBLE:
-            return None
         res_lo = lp_optimize(p, c, "min")
         if res_hi.status is LpStatus.UNBOUNDED or res_lo.status is LpStatus.UNBOUNDED:
             raise UnboundedError(f"solution space unbounded in x{j + 1}")
+        if res_hi.status is not LpStatus.OPTIMAL or res_lo.status is not LpStatus.OPTIMAL:
+            raise NumericalError(f"bounding-box LP in x{j + 1} did not solve")
         hi[j] = res_hi.value
         lo[j] = res_lo.value
-
-    _, rho = chebyshev_center(p)
     if rho <= FLATNESS_TOL:
         return None
 
@@ -159,7 +167,7 @@ def round_polytope(p: Polytope, deadline: Optional[float] = None) -> Optional[Ro
     ratios = b_new / new_norms
     worst_ratio = float(ratios.min())
     if worst_ratio <= 0.0:
-        return None
+        raise NumericalError("rounded body misses the unit ball")
     if worst_ratio < 1.0:
         s = 1.0 / worst_ratio
         b_new = b_new * s

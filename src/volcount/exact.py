@@ -41,12 +41,19 @@ _VERTEX_TOL = 1e-7
 
 
 def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
-    """Exact volume of a bounded polytope (0.0 for empty or flat bodies).
+    """Exact volume of a bounded polytope (0.0 for bodies without interior).
 
-    Strict and non-strict rows are measure-equivalent here; any equality row
-    flattens the body, so it short-circuits to zero.  Unbounded input raises
-    UnboundedError.  The memo lives per call, so concurrent calls never share
-    state.
+    Strict and non-strict rows are measure-equivalent here.  The body is
+    opened by three checks, in the order ``round_polytope`` uses:
+
+    1. a contradictory body or any equality row: 0.0, no LP runs;
+    2. the Chebyshev radius rho: 0.0 when rho <= 0, which also covers every
+       empty body (rho < 0);
+    3. the 2n boundedness LPs: UnboundedError on an unbounded direction,
+       NumericalError when one neither solves nor finds a ray.
+
+    A body without interior is therefore 0.0 even when it is unbounded.  The
+    memo lives per call, so concurrent calls never share state.
     """
     if p.contradictory:
         return 0.0
@@ -54,21 +61,19 @@ def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
         return 1.0
     if any(row.op is Cmp.EQ for row in p.rows):
         return 0.0
+    _, rho = chebyshev_center(p)
+    if rho <= 0.0:
+        return 0.0
 
-    # Boundedness probe; also catches emptiness before the recursion starts.
     for j in range(p.n):
         c = np.zeros(p.n)
         c[j] = 1.0
         hi = lp_optimize(p, c, "max")
-        if hi.status is LpStatus.INFEASIBLE:
-            return 0.0
         lo = lp_optimize(p, c, "min")
         if hi.status is LpStatus.UNBOUNDED or lo.status is LpStatus.UNBOUNDED:
             raise UnboundedError(f"solution space unbounded in x{j + 1}")
-
-    _, rho = chebyshev_center(p)
-    if rho <= 0.0:
-        return 0.0
+        if hi.status is not LpStatus.OPTIMAL or lo.status is not LpStatus.OPTIMAL:
+            raise NumericalError(f"bounding-box LP in x{j + 1} did not solve")
 
     a, b, _, _ = p.split_arrays()
     rows = _clean_rows(a, b, tuple(range(len(b))))

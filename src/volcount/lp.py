@@ -237,14 +237,6 @@ def _checked_max(c: np.ndarray, a_ub, b_ub, a_eq, b_eq) -> LpResult:
     return res
 
 
-def _polytope_lp(p: Polytope, c: np.ndarray, sense: str) -> LpResult:
-    sign = 1.0 if sense == "max" else -1.0
-    res = _checked_max(sign * c, *p.split_arrays())
-    if res.status is not LpStatus.OPTIMAL:
-        return res
-    return LpResult(LpStatus.OPTIMAL, float(np.dot(c, res.point)), res.point)
-
-
 def _violation(a_ub, b_ub, a_eq, b_eq, x) -> float:
     worst = 0.0
     if a_ub.shape[0]:
@@ -264,7 +256,11 @@ def lp_optimize(p: Polytope, objective: Sequence[float], sense: str = "max") -> 
         return LpResult(LpStatus.INFEASIBLE)
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
-    return _polytope_lp(p, np.asarray(objective, dtype=float), sense)
+    c = np.asarray(objective, dtype=float)
+    res = _checked_max(c if sense == "max" else -c, *p.split_arrays())
+    if res.status is not LpStatus.OPTIMAL:
+        return res
+    return LpResult(LpStatus.OPTIMAL, float(np.dot(c, res.point)), res.point)
 
 
 def lp_feasible(
@@ -287,21 +283,22 @@ def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:
     radius at max(1, max_i |b_i| / ||a_i||) to keep the LP bounded on
     unbounded input.  The cap never binds on a bounded body: the ray from the
     center away from the origin leaves through some row i, so
-    r ||a_i|| <= b_i - a_i . c <= b_i.  Callers check boundedness first.
+    r ||a_i|| <= b_i - a_i . c <= b_i.  On an unbounded body the cap may
+    bind; the caller's boundedness probe then reports the direction.
     """
-    a, b = p.inequality_arrays()
-    m = a.shape[0]
-    norms = np.linalg.norm(a, axis=1) if m else np.zeros(0)
-    a_aug = np.hstack([a, norms[:, None]]) if m else np.zeros((0, p.n + 1))
+    a_ub, b_ub, a_eq, b_eq = p.split_arrays()
+    a = np.vstack([a_ub, a_eq, -a_eq])
+    b = np.concatenate([b_ub, b_eq, -b_eq])
+    norms = np.linalg.norm(a, axis=1)
     guard = np.zeros((1, p.n + 1))
     guard[0, p.n] = 1.0
-    a_aug = np.vstack([a_aug, guard])
+    a_aug = np.vstack([np.hstack([a, norms[:, None]]), guard])
     nonzero = norms > 0.0
     rho_cap = max(1.0, float(np.max(np.abs(b[nonzero]) / norms[nonzero], initial=0.0)))
     b_aug = np.concatenate([b, [rho_cap]])
     c = np.zeros(p.n + 1)
     c[p.n] = 1.0
-    res = simplex_max(c, a_aug, b_aug)
+    res = _checked_max(c, a_aug, b_aug, np.zeros((0, p.n + 1)), np.zeros(0))
     if res.status is not LpStatus.OPTIMAL:
         raise NumericalError("Chebyshev LP did not solve")
     return res.point[: p.n], float(res.point[p.n])

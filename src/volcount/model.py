@@ -191,22 +191,6 @@ class Polytope:
     n: int
     contradictory: bool = False
 
-    def inequality_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float (A, b) for the inequality relaxation: every row in order,
-        each EQ row followed by its opposite ``-a . x <= -b``."""
-        a_rows: list[list[float]] = []
-        b_vals: list[float] = []
-        for row in self.rows:
-            coeffs = [float(c) for c in row.coeffs]
-            rhs = float(row.rhs)
-            a_rows.append(coeffs)
-            b_vals.append(rhs)
-            if row.op is Cmp.EQ:
-                a_rows.append([-c for c in coeffs])
-                b_vals.append(-rhs)
-        a = np.array(a_rows, dtype=float).reshape(len(b_vals), self.n)
-        return a, np.array(b_vals, dtype=float)
-
     def split_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Float (A_ub, b_ub, A_eq, b_eq) keeping equality rows as equalities;
         strict rows are read as their closures."""

@@ -378,7 +378,9 @@ def hull_volume(p) -> float:
     import numpy as np
     from scipy.spatial import ConvexHull, QhullError
 
-    a, b = p.inequality_arrays()
+    a, b, a_eq, _ = p.split_arrays()
+    if a_eq.shape[0]:
+        return 0.0
     m, n = a.shape
     pts = []
     for rows in itertools.combinations(range(m), n):

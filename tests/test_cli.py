@@ -147,6 +147,51 @@ class TestExitCodes:
         assert main(["-L", "--timeout=inf", F1]) == 0
 
 
+_REAL_XY = "(set-logic QF_LRA)\n(declare-fun x () Real)\n(declare-fun y () Real)\n"
+
+
+class TestBackendAgreement:
+    """-P and -V open every bunch with the same checks in the same order: a
+    body without interior is 0 under both, bounded or not."""
+
+    @pytest.mark.parametrize(
+        "assertion",
+        [
+            None,  # the getop_path2 fixture: every bunch is flat and unbounded
+            "(= x y)",
+            "(and (<= (- x y) 0) (>= (- x y) 0))",
+            "(and (= x y) (<= 0 x) (<= x 1))",
+        ],
+        ids=["getop_path2", "equality-unbounded", "flat-unbounded", "equality-bounded"],
+    )
+    def test_no_interior_is_zero_under_both(self, tmp_path, capsys, assertion):
+        path = FIXTURES / "getop_path2.smt2"
+        if assertion is not None:
+            path = tmp_path / "body.smt2"
+            path.write_text(f"{_REAL_XY}(assert {assertion})\n")
+        assert main(["-P", "-V", "-w=0", "--json", str(path)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["totals"] == {"estimate": 0.0, "exact_volume": 0.0}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(set-logic QF_LRA)\n(declare-fun x () Real)\n(assert (<= x 5))\n",
+            # Chebyshev radius about 3.5e-8, below FLATNESS_TOL, yet the slab
+            # has interior: -P must not read it as flat.
+            f"{_REAL_XY}(assert (and (<= 0 (- x y)) (<= (- x y) 0.0000001)))\n",
+        ],
+        ids=["half-line", "thin-slab"],
+    )
+    def test_full_dimensional_unbounded_is_an_error_under_both(self, tmp_path, capsys, text):
+        path = tmp_path / "body.smt2"
+        path.write_text(text)
+        assert main(["-P", "-V", "-w=0", "--json", str(path)]) == 3
+        (bunch,) = json.loads(capsys.readouterr().out)["bunches"]
+        message = "solution space unbounded in x1"
+        assert bunch["errors"] == {"estimate": message, "exact_volume": message}
+
+
 class TestOutput:
     def test_text_report(self, capsys):
         assert main(["-V", "-L", "-w=0", F1]) == 0

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from volcount.errors import UnboundedError
+import volcount.estimate
+from volcount.errors import NumericalError, UnboundedError
 from volcount.estimate import (
     CHAINS,
     Chains,
@@ -19,7 +22,8 @@ from volcount.estimate import (
     unit_ball_log_volume,
 )
 from volcount.exact import exact_volume
-from volcount.model import make_polytope
+from volcount.lp import FLATNESS_TOL, LpResult, LpStatus, chebyshev_center, lp_optimize
+from volcount.model import Cmp, make_polytope
 
 from oracles import ball_volume, explicit_shallow_cut, ineq, poly, sheared_cube
 
@@ -126,7 +130,7 @@ class TestShallowCut:
         # loop of round_polytope: both must pick the same worst row at every
         # cut and describe the same ellipsoid throughout.
         rng = np.random.default_rng(700 + n)
-        a, b = random_full_dim(rng, n, extra_rows=n).inequality_arrays()
+        a, b = random_full_dim(rng, n, extra_rows=n).split_arrays()[:2]
         beta = 1.0 / (2.0 * n)
         # The ball of radius 10n holds the box [-8, 8]^n around the body.
         center = np.zeros(n)
@@ -176,6 +180,19 @@ class TestRounding:
     def test_zero_dim_returns_none(self):
         assert round_polytope(make_polytope([], 0)) is None
 
+    def test_bounding_box_lp_that_does_not_solve_is_an_error(self, monkeypatch):
+        # Past the Chebyshev check the body has interior, so a bounding-box
+        # LP that reports neither an optimum nor a ray is a solver failure,
+        # not an empty body and not a NaN box edge for the cut loop.
+        def infeasible_min(p, c, sense="max"):
+            if sense == "min":
+                return LpResult(LpStatus.INFEASIBLE)
+            return lp_optimize(p, c, sense)
+
+        monkeypatch.setattr(volcount.estimate, "lp_optimize", infeasible_min)
+        with pytest.raises(NumericalError, match="bounding-box LP in x1"):
+            round_polytope(box_poly([(-1, 1), (-1, 1)]))
+
     @pytest.mark.parametrize("n, k", [(6, 30), (12, 6), (16, 3)])
     def test_sheared_cube_rounds_and_estimates(self, n, k):
         # The explicit-form update loses positive definiteness on these
@@ -200,6 +217,65 @@ class TestRounding:
             res = linprog(-c, A_ub=q.a, b_ub=q.b, bounds=(None, None), method="highs")
             assert res.status == 0
             assert -res.fun <= 2 * n * (1 + 1e-6)
+
+
+_THIN = Fraction(1, 10**7)
+
+
+def _outcome(backend, p):
+    """The backend's value on ``p``, or the message of its UnboundedError."""
+    try:
+        return backend(p)
+    except UnboundedError as exc:
+        return str(exc)
+
+
+class TestAgreementWithExact:
+    """``round_polytope`` and ``exact_volume`` open a body with the same
+    checks in the same order: no interior is zero, bounded or not."""
+
+    def test_empty_unbounded_body(self):
+        p = poly([ineq([1, 0], 0), ineq([-1, 0], -1)], 2)  # x <= 0, x >= 1; y free
+        assert round_polytope(p) is None
+        assert exact_volume(p) == 0.0
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(-2, 2)] * 3),
+                st.integers(-3, 3),
+                st.sampled_from([Cmp.LE, Cmp.LE, Cmp.LE, Cmp.EQ]),
+            ),
+            max_size=7,
+        ),
+        n=st.integers(1, 3),
+    )
+    @example(rows=[((1, -1, 0), 0, Cmp.EQ)], n=2)  # x = y: flat and unbounded
+    @example(rows=[((1, -1, 0), 0, Cmp.LE), ((-1, 1, 0), 0, Cmp.LE)], n=2)
+    @example(rows=[((1, -1, 0), _THIN, Cmp.LE), ((-1, 1, 0), 0, Cmp.LE)], n=2)
+    @settings(max_examples=150, deadline=None)
+    def test_same_outcome_on_small_bodies(self, rows, n):
+        p = make_polytope([ineq(coeffs[:n], rhs, op) for coeffs, rhs, op in rows], n)
+        rounded = _outcome(round_polytope, p)
+        volume = _outcome(exact_volume, p)
+        if isinstance(volume, str):
+            assert rounded == volume
+            return
+        if not p.contradictory and all(row.op is not Cmp.EQ for row in p.rows):
+            # Bounded bodies thinner than FLATNESS_TOL are None under -P by
+            # design and measured under -V.
+            assume(not 0.0 < chebyshev_center(p)[1] <= FLATNESS_TOL)
+        assert not isinstance(rounded, str)
+        assert (rounded is None) == (volume == 0.0)
+
+    def test_thin_unbounded_slab_is_unbounded_under_both(self):
+        # 0 <= x - y <= 1e-7 has Chebyshev radius about 3.5e-8, inside
+        # (0, FLATNESS_TOL]: it has interior, so neither backend calls it flat.
+        p = poly([ineq([1, -1], _THIN), ineq([-1, 1], 0)], 2)
+        assert 0.0 < chebyshev_center(p)[1] <= FLATNESS_TOL
+        for backend in (round_polytope, exact_volume):
+            with pytest.raises(UnboundedError, match="unbounded in x1"):
+                backend(p)
 
 
 class TestWalk:

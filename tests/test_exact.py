@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import volcount
-from volcount.errors import UnboundedError
+from volcount.errors import NumericalError, UnboundedError
 from volcount.exact import _clean_rows, _polygon_area, exact_volume
+from volcount.lp import LpResult, LpStatus, lp_optimize
 from volcount.model import Cmp, make_polytope
 
 from oracles import (
@@ -233,6 +234,18 @@ class TestDegenerate:
         p = poly([ineq([1, 0], 1), ineq([-1, 0], 1), ineq([0, 1], 1)], 2)
         with pytest.raises(UnboundedError):
             exact_volume(p)
+
+    def test_boundedness_lp_that_does_not_solve_is_an_error(self, monkeypatch):
+        # Past the Chebyshev check the body has interior, so a boundedness LP
+        # that reports neither an optimum nor a ray is a solver failure.
+        def infeasible_min(p, c, sense="max"):
+            if sense == "min":
+                return LpResult(LpStatus.INFEASIBLE)
+            return lp_optimize(p, c, sense)
+
+        monkeypatch.setattr(volcount.exact, "lp_optimize", infeasible_min)
+        with pytest.raises(NumericalError, match="bounding-box LP in x1"):
+            exact_volume(cube(2))
 
     def test_zero_dim_is_one(self):
         assert exact_volume(make_polytope([], 0)) == 1.0

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from volcount.errors import UnboundedError
+import volcount.lp
+from volcount.errors import NumericalError, UnboundedError
 from volcount.lp import (
+    LpResult,
     LpStatus,
     chebyshev_center,
     integer_bounds,
@@ -199,6 +201,35 @@ class TestPolytopeHelpers:
         p = make_polytope([c, ineq([1, 0], 5)], 2)
         _, rho = chebyshev_center(p)
         assert abs(rho) <= 1e-7
+
+    def test_chebyshev_cap_binds_on_a_half_plane(self):
+        # {x <= 5} holds balls of every radius; the guard row caps rho at
+        # max(1, 5 / 1) = 5, and the caller's probe reports the ray.
+        _, rho = chebyshev_center(poly([ineq([1], 5)], 1))
+        assert rho == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("bad_calls", [{False}, {False, True}], ids=["retried", "raised"])
+    def test_chebyshev_goes_through_the_checked_solve(self, monkeypatch, bad_calls):
+        # A first solve whose optimum violates the rows is retried under
+        # Bland's rule; when the retry is bad too, the LP is an error.
+        real = volcount.lp.simplex_max
+        calls = []
+
+        def faulty(c, a_ub, b_ub, a_eq=None, b_eq=None, bland=False):
+            calls.append(bland)
+            if bland in bad_calls:
+                return LpResult(LpStatus.OPTIMAL, 1e3, np.full(c.shape[0], 1e3))
+            return real(c, a_ub, b_ub, a_eq, b_eq, bland=bland)
+
+        monkeypatch.setattr(volcount.lp, "simplex_max", faulty)
+        if True in bad_calls:
+            with pytest.raises(NumericalError, match="violates constraints"):
+                chebyshev_center(cube(2))
+        else:
+            center, rho = chebyshev_center(cube(2))
+            assert rho == pytest.approx(1.0, abs=1e-7)
+            assert np.allclose(center, [0.0, 0.0], atol=1e-6)
+        assert calls == [False, True]
 
     def test_integer_bounds_simple(self):
         p = poly([ineq([2], 5), ineq([-2], 5)], 1)  # -2.5 <= x <= 2.5

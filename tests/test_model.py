@@ -2,7 +2,6 @@
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,13 +148,6 @@ class TestMakePolytope:
         assert p.rows == () and not p.contradictory
         p2 = make_polytope([contra, ineq([1], 4)], 1)
         assert p2.contradictory
-
-    def test_inequality_arrays_expand_equalities(self):
-        c = normalize_constraint(LinearConstraint((frac(1), frac(2)), Cmp.EQ, frac(3)))
-        p = make_polytope([c], 2)
-        a, b = p.inequality_arrays()
-        assert a.shape == (2, 2)
-        assert np.allclose(a[0], -a[1]) and b[0] == -b[1]
 
 
 @st.composite

@@ -25,7 +25,9 @@ reductions:
 
 Each component's count is cached on its rows, disequalities and variable
 intervals, in one memo per ``count_integer_points`` call, so a subproblem
-reached along several branches is counted once.
+reached along several branches is counted once.  ``_count_core`` looks each
+component up once, before it goes to either counter, and stores the count
+there; blocks no row touches are counted directly, without the memo.
 
 Disequalities are resolved lazily.  Pinned and branched values are
 substituted into them as into rows; one that can no longer be met (its gcd
@@ -45,15 +47,6 @@ from typing import Optional, Sequence
 from .errors import SummationError, UnboundedError, check_deadline
 from . import lp
 from .model import Cmp, LinearConstraint, Polytope
-
-
-def strict_to_closed(rhs: Fraction) -> Fraction:
-    """Exact rewrite of ``a . x < rhs`` to ``a . x <= rhs'`` over integer
-    left-hand sides: one less when the bound is integral, the floor
-    otherwise."""
-    if rhs.denominator == 1:
-        return rhs - 1
-    return Fraction(math.floor(rhs))
 
 
 def count_integer_points(
@@ -84,7 +77,8 @@ def count_integer_points(
     for row in p.rows:
         coeffs, rhs = _integer_row(row.coeffs, row.rhs)
         if row.strict:
-            rhs = int(strict_to_closed(Fraction(rhs)))
+            # On integer rows, a . x < b is a . x <= b - 1.
+            rhs -= 1
         rows.append((coeffs, rhs))
         if row.op is Cmp.EQ:
             rows.append(({v: -c for v, c in coeffs.items()}, -rhs))
@@ -178,10 +172,15 @@ def _count_core(rows, intervals, neqs, memo, deadline) -> int:
             total *= _free_block(var_group, intervals, neq_group)
             continue
         sub_intervals = {v: intervals[v] for v in var_group}
-        if not neq_group and _is_difference_system(row_group):
-            total *= _sum_differences(row_group, sub_intervals, memo, deadline)
-        else:
-            total *= _branch(row_group, sub_intervals, neq_group, memo, deadline)
+        key = _key(row_group, neq_group, sub_intervals)
+        sub = memo.get(key)
+        if sub is None:
+            if not neq_group and _is_difference_system(row_group):
+                sub = _sum_differences(row_group, sub_intervals, deadline)
+            else:
+                sub = _branch(row_group, sub_intervals, neq_group, memo, deadline)
+            memo[key] = sub
+        total *= sub
         if total == 0:
             # Other components cannot rescue a zero factor.
             return 0
@@ -201,12 +200,7 @@ def _free_block(var_group, intervals, holes) -> int:
 
 
 def _branch(rows, intervals, neqs, memo, deadline) -> int:
-    """Pick the narrowest variable, ground it, recurse.  Results are cached
-    in ``memo`` on the component's rows, disequalities and intervals."""
-    key = _key(rows, neqs, intervals)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    """Pick the narrowest variable, ground it, recurse."""
     check_deadline(deadline)
     _, var = min((hi - lo, v) for v, (lo, hi) in intervals.items())
     lo, hi = intervals[var]
@@ -228,7 +222,6 @@ def _branch(rows, intervals, neqs, memo, deadline) -> int:
         if fixed_neqs is None:
             continue
         total += _count_core(fixed_rows, sub_intervals, fixed_neqs, memo, deadline)
-    memo[key] = total
     return total
 
 
@@ -280,20 +273,15 @@ def _is_difference_system(rows) -> bool:
     )
 
 
-def _sum_differences(rows, intervals, memo, deadline) -> int:
+def _sum_differences(rows, intervals, deadline) -> int:
     """Count a bounded difference system by eliminating its variables one
-    by one and summing the weight over each in closed form.  Results are
-    cached in ``memo`` under the same key as a branched component.
+    by one and summing the weight over each in closed form.
 
     The system is a closed difference-bound matrix over a constant node 0
     and one node per variable: ``bound[a][b]`` is the least c implied for
     ``x_b - x_a <= c``.  A sum that comes out as a non-integer is a fault:
     it raises SummationError and is never rounded.
     """
-    key = _key(rows, (), intervals)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     variables = list(intervals)
     node = {v: k for k, v in enumerate(variables, start=1)}
     size = len(variables) + 1
@@ -311,15 +299,12 @@ def _sum_differences(rows, intervals, memo, deadline) -> int:
                 tail, g = node[v], -c
         edges.append((tail, head, rhs // g))
     if not all(_tighten(bound, *edge) for edge in edges):
-        total = 0
-    else:
-        weight = {(0,) * len(variables): 1}
-        total = _eliminate(bound, tuple(range(size)), weight, 1, deadline)
-        if total.denominator != 1:
-            raise SummationError(f"symbolic summation gave the non-integer count {total}")
-        total = int(total)
-    memo[key] = total
-    return total
+        return 0
+    weight = {(0,) * len(variables): 1}
+    total = _eliminate(bound, tuple(range(size)), weight, 1, deadline)
+    if total.denominator != 1:
+        raise SummationError(f"symbolic summation gave the non-integer count {total}")
+    return int(total)
 
 
 def _eliminate(bound, live, weight, scale, deadline) -> Fraction:
@@ -536,10 +521,6 @@ def _propagate(rows, intervals, neqs):
             rounds += 1
             next_rows = []
             for coeffs, rhs in rows:
-                if not coeffs:
-                    if 0 > rhs:
-                        return None
-                    continue
                 lo_sum, hi_sum = _range(coeffs, ivs)
                 if hi_sum <= rhs:
                     changed = True  # row drops out

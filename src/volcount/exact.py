@@ -9,11 +9,17 @@ with signed distances, so the identity holds wherever the origin sits.  Each
 facet measure is a lower-dimensional polytope volume after substituting out
 one variable, which recurses down to planar polygons handled by a shoelace
 base case.  Sub-bodies are memoized on (rows used as equations, variables
-eliminated): Gaussian elimination steps on distinct pivots commute, so that
-pair determines the reduced body regardless of the substitution order.  The
-memo is checked on that pair before a facet's body is built, so a repeated
-facet costs one lookup; a body reached under a new pair is also looked up
-by a canonical key of its rows.
+left): Gaussian elimination steps on distinct pivots commute, so that pair
+determines the reduced body regardless of the substitution order.  Each key
+is read in one place: the pair in the facet loop, before a facet's body is
+built, so a repeated facet costs one lookup; the canonical key of the rows
+when a body is entered, which catches a body reached under a new pair.  Both
+are stored once the body is done.
+
+Every row is scaled so that its largest |a_ij| is exactly 1.0 (x / |x| is
+exact in IEEE arithmetic).  A facet pivots on that entry, so the factor
+b_i / |a_i,piv| by which the facet's projected volume enters the sum is b_i
+itself.
 
 Each interior node (dimension 3 and up) first checks that its body is
 nonempty with one feasibility LP on the built-in simplex of ``lp.py``; the
@@ -81,7 +87,7 @@ def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
         return 0.0
     a, b, ids = rows
     memo: dict = {}
-    return _volume_rec(a, b, ids, frozenset(), frozenset(), tuple(range(p.n)), memo, deadline)
+    return _volume_rec(a, b, ids, frozenset(), tuple(range(p.n)), memo, deadline)
 
 
 def _clean_rows(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
@@ -141,16 +147,12 @@ def _volume_rec(
     b: np.ndarray,
     ids: tuple[int, ...],
     elim_rows: frozenset,
-    elim_vars: frozenset,
     var_ids: tuple[int, ...],
     memo: dict,
     deadline: Optional[float],
 ) -> float:
     check_deadline(deadline)
-    key = (elim_rows, elim_vars)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    key = (elim_rows, var_ids)
     ckey = _canonical_key(a, b)
     hit = memo.get(ckey)
     if hit is not None:
@@ -174,10 +176,8 @@ def _volume_rec(
             if b[i] == 0.0:
                 continue
             piv = int(np.argmax(np.abs(a[i])))
-            if abs(a[i, piv]) < _ZERO_TOL:
-                continue
             child_rows = elim_rows | {ids[i]}
-            child_vars = elim_vars | {var_ids[piv]}
+            child_vars = var_ids[:piv] + var_ids[piv + 1 :]
             face_vol = memo.get((child_rows, child_vars))
             if face_vol is None:
                 child = _substitute(a, b, ids, i, piv)
@@ -185,17 +185,9 @@ def _volume_rec(
                     face_vol = 0.0
                 else:
                     ca, cb, cids = child
-                    face_vol = _volume_rec(
-                        ca,
-                        cb,
-                        cids,
-                        child_rows,
-                        child_vars,
-                        var_ids[:piv] + var_ids[piv + 1 :],
-                        memo,
-                        deadline,
-                    )
-            total += (b[i] / abs(a[i, piv])) * face_vol
+                    face_vol = _volume_rec(ca, cb, cids, child_rows, child_vars, memo, deadline)
+            # |a[i, piv]| == 1.0 (unit-scaled rows): b[i] is the factor.
+            total += b[i] * face_vol
         vol = max(total / n, 0.0)
 
     memo[key] = vol

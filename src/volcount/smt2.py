@@ -3,7 +3,8 @@
 Supported: zero-arity declare-fun over Bool/Int/Real, assert, parallel let,
 and/or/not/=>/ite (Boolean ite only), chainable =,<,<=,>,>= over numeric
 terms, distinct over numeric terms, +, -, * and / with a constant side, and
-the commands set-logic / set-info / check-sat / exit (ignored).  Everything
+the commands set-logic / set-info / check-sat / exit (ignored), ``;``
+comments and quoted symbols (``|x|`` names the symbol ``x``).  Everything
 else is a parse error, as is mixing Int and Real variables in one file.
 
 Comparisons become theory atoms: each syntactically distinct canonical
@@ -159,7 +160,7 @@ class _Parser:
             raise ParseError("declare-fun must have shape (declare-fun name () Sort)")
         if self.saw_assert:
             raise ParseError("declarations must precede assertions")
-        name, sort = sexpr[1], sexpr[3]
+        name, sort = _unquote(sexpr[1]), sexpr[3]
         if name in self.bool_vars or name in self.numeric_vars:
             raise ParseError(f"duplicate declaration of {name}")
         if sort == "Bool":
@@ -199,17 +200,20 @@ class _Parser:
         raise ParseError(f"unsupported operator: {head!r}")
 
     def symbol(self, s: str, env: dict):
-        if s in env:
-            return env[s]
-        if s == "true":
+        num = _parse_number(s)  # None for every quoted token: |1| is a symbol
+        if num is not None and s[0].isdigit():
+            return _LinTerm({}, num)
+        name = _unquote(s)
+        if name in env:
+            return env[name]
+        if name == "true":
             return True
-        if s == "false":
+        if name == "false":
             return False
-        if s in self.bool_vars:
-            return self.bool_vars[s]
-        if s in self.numeric_vars:
-            return _LinTerm({self.numeric_vars[s]: Fraction(1)}, Fraction(0))
-        num = _parse_number(s)
+        if name in self.bool_vars:
+            return self.bool_vars[name]
+        if name in self.numeric_vars:
+            return _LinTerm({self.numeric_vars[name]: Fraction(1)}, Fraction(0))
         if num is not None:
             return _LinTerm({}, num)
         raise ParseError(f"unknown symbol: {s!r}")
@@ -222,7 +226,7 @@ class _Parser:
             if not (isinstance(binding, list) and len(binding) == 2 and isinstance(binding[0], str)):
                 raise ParseError("malformed let binding")
             # Parallel semantics: bindings see the outer environment only.
-            new_env[binding[0]] = self.term(binding[1], env)
+            new_env[_unquote(binding[0])] = self.term(binding[1], env)
         return self.term(t[2], new_env)
 
     def boolean_op(self, head: str, args, env: dict):
@@ -347,6 +351,19 @@ class _Parser:
             var_names=tuple(self.numeric_names),
             aux_var_ids=frozenset(aux_ids),
         )
+
+
+def _unquote(symbol: str) -> str:
+    """The name a symbol token stands for: ``|x|`` and ``x`` are the same
+    symbol (SMT-LIB 2.6, section 3.1).  A simple symbol never starts with a
+    digit, so ``1`` is a numeral and only ``|1|`` names the symbol ``1``.
+    Bars are stripped only after ``read_sexprs``, so a quoted ``|(|`` is
+    never read as a parenthesis."""
+    if symbol.startswith("|"):
+        return symbol[1:-1]
+    if symbol[:1].isdigit():
+        raise ParseError(f"not a symbol: {symbol!r}")
+    return symbol
 
 
 def _parse_number(s: str) -> Optional[Fraction]:

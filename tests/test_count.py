@@ -3,6 +3,7 @@ import itertools
 import time
 import traceback
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 
 from volcount import count, lp
 from volcount.cli import main
-from volcount.count import count_integer_points, strict_to_closed
+from volcount.count import count_integer_points
+from volcount.driver import load_formula, run
 from volcount.errors import BackendError, SummationError, TimeoutExceeded, UnboundedError
-from volcount.model import Cmp, make_polytope
+from volcount.model import Backend, Cmp, SolverConfig, make_polytope
 
 from oracles import grid_count, ineq, poly, sheared_cube
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def box(n, lo, hi):
@@ -28,19 +32,20 @@ def box(n, lo, hi):
     return rows
 
 
-class TestStrictToClosed:
+class TestStrictRows:
     @pytest.mark.parametrize(
-        "rhs,expected",
+        "coeff,rhs,expected",
         [
-            (Fraction(5), 4),          # integer bound: a x < 5 means a x <= 4
-            (Fraction(7, 2), 3),       # fractional: a x < 3.5 means a x <= 3
-            (Fraction(-3), -4),
-            (Fraction(-7, 2), -4),
-            (Fraction(0), -1),
+            (1, 5, 5),      # x < 5 is x <= 4
+            (2, 7, 4),      # 2x < 7 is 2x <= 6
+            (-1, -3, 6),    # -x < -3 is x >= 4
+            (-2, -7, 6),    # -2x < -7 is 2x >= 8
+            (1, 0, 0),      # x < 0 is x <= -1
         ],
     )
-    def test_values(self, rhs, expected):
-        assert strict_to_closed(rhs) == expected
+    def test_strict_row_on_a_box(self, coeff, rhs, expected):
+        p = poly(box(1, 0, 9) + [ineq([coeff], rhs, Cmp.LT)], 1)
+        assert count_integer_points(p) == expected
 
 
 class TestSmallClosedForms:
@@ -442,3 +447,25 @@ class TestRootIntervals:
         # these bodies.
         with mock.patch.object(lp, "integer_bounds", side_effect=AssertionError):
             assert count_integer_points(sheared_cube(n, k)) == 3**n
+
+
+class TestCallCounts:
+    """Work one count does.  On coloring, a lost component-memo hit counts
+    that component again and raises the ``_count_core`` calls; on
+    find_path1, a summation that splits into more cases raises the
+    ``_eliminate`` calls."""
+
+    @pytest.mark.parametrize(
+        "fixture,word_length,name,calls,total",
+        [
+            ("coloring.smt2", 2, "_count_core", 157, 768),
+            ("find_path1.vs", 6, "_eliminate", 9, 256257473472),
+        ],
+    )
+    def test_calls(self, fixture, word_length, name, calls, total):
+        config = SolverConfig(word_length=word_length, backends=frozenset({Backend.INTEGER_COUNT}))
+        formula = load_formula(str(FIXTURES / fixture))
+        with mock.patch.object(count, name, wraps=getattr(count, name)) as spy:
+            report = run(config, formula)
+        assert report.totals["integer_count"] == total
+        assert spy.call_count == calls

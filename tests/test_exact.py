@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from oracles import (
     poly,
     polygon_area_2d,
     polygon_area_loop,
+    sheared_cube,
     simplex,
 )
 
@@ -260,6 +262,28 @@ class TestDegenerate:
         extra = base + [ineq([1, 1], 10), ineq([1, 0], 3)]
         assert exact_volume(poly(extra, 2)) == pytest.approx(4.0, rel=1e-12)
 
+
+class TestMemoHits:
+    """Bodies entered and emptiness LPs run by one call.  A pair-key miss
+    enters one more body, and a canonical-key miss in dimension 3 or more
+    also runs one more LP, so a lookup that stops hitting raises a count."""
+
+    @pytest.mark.parametrize(
+        "body,bodies,lps",
+        [
+            (cube(8), 67, 6),
+            (cross_polytope(5), 288, 29),
+            (simplex(8), 7, 6),
+            (sheared_cube(5, 2), 81, 16),
+        ],
+        ids=["cube8", "cross5", "simplex8", "S(5,2)"],
+    )
+    def test_call_counts(self, body, bodies, lps):
+        exact = volcount.exact
+        with mock.patch.object(exact, "_volume_rec", wraps=exact._volume_rec) as entered:
+            with mock.patch.object(exact, "linprog", wraps=exact.linprog) as emptiness:
+                exact_volume(body)
+        assert (entered.call_count, emptiness.call_count) == (bodies, lps)
 
 
 def test_import_leaves_scipy_unloaded():

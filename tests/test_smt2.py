@@ -168,3 +168,78 @@ class TestIgnoredAndErrors:
     def test_duplicate_declaration(self):
         with pytest.raises(ParseError):
             parse_smt2("(declare-fun x () Int)(declare-fun x () Int)")
+
+
+class TestCommentsStringsAndQuotedSymbols:
+    def test_quoted_and_plain_spellings_name_one_symbol(self):
+        for decls, body in [
+            ("(declare-fun |x| () Int)", "(assert (< x 3))"),
+            ("(declare-fun x () Int)", "(assert (< |x| 3))"),
+        ]:
+            f = parse(body, decls)
+            assert f.var_names == ("x",)
+            assert len(f.atom_map) == 1
+
+    def test_quoted_symbol_may_hold_spaces_and_parentheses(self):
+        f = parse("(assert (< |y (z)| 2))", "(declare-fun |y (z)| () Int)")
+        assert f.var_names == ("y (z)",)
+
+    def test_quoted_let_binding(self):
+        f = parse("(assert (let ((|a| (< x 0))) a))", "(declare-fun x () Int)")
+        assert len(f.atom_map) == 1
+        f = parse("(assert (let ((|a b| (< x 0))) |a b|))", "(declare-fun x () Int)")
+        assert len(f.atom_map) == 1
+
+    def test_quoted_numeral_is_a_symbol(self):
+        with pytest.raises(ParseError, match="unknown symbol"):
+            parse("(assert (< x |1|))", "(declare-fun x () Int)")
+
+    def test_quoted_numeral_symbol_leaves_the_numeral_alone(self):
+        f = parse("(assert (< |1| 1))", "(declare-fun |1| () Int)")
+        assert f.var_names == ("1",)
+        (constraint,) = f.atom_map.values()
+        assert constraint.coeffs == (1,)
+        assert constraint.rhs == 1
+
+    def test_quoted_numeral_let_binding_leaves_the_numeral_alone(self):
+        f = parse(
+            "(assert (let ((|1| 5)) (and (< x |1|) (< 1 x))))",
+            "(declare-fun x () Int)",
+        )
+        assert sorted(abs(c.rhs) for c in f.atom_map.values()) == [1, 5]
+
+    def test_plain_numeral_is_not_a_name(self):
+        with pytest.raises(ParseError, match="not a symbol"):
+            parse_smt2("(declare-fun 1 () Int)")
+        with pytest.raises(ParseError, match="not a symbol"):
+            parse("(assert (let ((1 (< x 0))) true))", "(declare-fun x () Int)")
+
+    def test_quoted_and_plain_declarations_collide(self):
+        with pytest.raises(ParseError, match="duplicate"):
+            parse_smt2("(declare-fun x () Int)(declare-fun |x| () Int)")
+
+    def test_comments_strings_and_a_symbol_over_two_lines(self):
+        f = parse_smt2(
+            "; a comment (with a parenthesis\n"
+            "(set-info :source |two\nlines|) ; trailing comment\n"
+            '(set-info :status "sat ""q"" )")\n'
+            "(declare-fun x () Int)\n"
+            "(assert (< x 1)) ;(assert (< x 0))\n"
+        )
+        assert len(f.atom_map) == 1
+
+    def test_quoted_fixture(self):
+        f = parse_smt2((FIXTURES / "quoted.smt2").read_text())
+        assert f.var_names == ("x", "y z")
+        assert len(f.atom_map) == 4
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("(set-info :source |open)", "unterminated quoted symbol"),
+            ('(set-info :status "sat ""q"")', "unterminated string literal"),
+        ],
+    )
+    def test_unterminated_tokens(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_smt2(text)

@@ -5,10 +5,17 @@ The search is a chronological DPLL over all solutions: decide unassigned
 variables in ascending index order (trying False first), propagate with
 two-watched-literal lists, and on each total assignment consult the linear
 arithmetic theory.  Consistent assignments are greedily minimized, emitted
-as a bunch, and blocked so the search moves on.  Blocking clauses are added
-to the clause database mid-search: the new clause is falsified when it
-arrives, so chronological backtracking unwinds decisions until it no longer
-is, then propagates it if it has become unit.
+as a bunch, and blocked so the search moves on.
+
+Bunches come out in lexicographic model order (variable 1 most
+significant, False before True).  Decisions take the lowest unassigned
+variable, False first, so total assignments are met in that order, and
+propagation only prunes branches that hold no model of the clauses, so it
+cannot change which model comes next: each bunch is the lexicographically
+next model of the clauses plus the earlier blocks.  One routine, `_flip`,
+does every backtrack: it pops the latest False decision, unwinds to it and
+asserts the variable True.  It runs after a conflict, and after a block,
+which arrives false, until the block no longer is.
 
 Theory conflicts block an irreducible inconsistent core.  A check whose
 rows are all bounds on linearly independent forms (no equalities) is
@@ -286,14 +293,13 @@ def enumerate_bunches(
     config: SolverConfig,
     deadline: Optional[float] = None,
 ) -> Iterator[Bunch]:
-    """Yield the bunches of a formula in deterministic search order."""
+    """Yield the bunches of a formula in lexicographic model order."""
     yield from _Enumerator(formula, config, deadline).run()
 
 
 class _Enumerator:
     def __init__(self, formula: Formula, config: SolverConfig, deadline: Optional[float]):
         self.formula = formula
-        self.config = config
         self.deadline = deadline
         self.nvars = formula.num_bool_vars
         self.clauses: list[list[int]] = []
@@ -302,7 +308,7 @@ class _Enumerator:
         self.assign: list[Optional[bool]] = [None] * (self.nvars + 1)
         self.trail: list[int] = []  # literals in assignment order
         self.trail_pos: dict[int, int] = {}  # var -> index into trail
-        self.decisions: list[tuple[int, int, bool]] = []  # (trail length, var, flipped)
+        self.decisions: list[tuple[int, int]] = []  # (trail length, var) per False decision
         self.root_units: list[int] = []
         self.unsat = False
         self.theory = TheoryRows(formula, config)
@@ -376,12 +382,12 @@ class _Enumerator:
             for ci in watchers:
                 clause = self.clauses[ci]
                 w1, w2 = self.watches[ci]
+                # A clause is in watch_map[lit] exactly when one of its two
+                # watches is lit (installing, moving a watch, a unit and a
+                # conflict all keep this), so after the swap clause[w2] is
+                # the falsified literal.
                 if clause[w1] == falsified:
                     w1, w2 = w2, w1
-                # Now clause[w2] == falsified (unless stale after a move).
-                if clause[w2] != falsified:
-                    kept.append(ci)
-                    continue
                 first_val = self._lit_value(clause[w1])
                 if first_val:
                     kept.append(ci)
@@ -411,44 +417,17 @@ class _Enumerator:
 
     # ---- chronological search -------------------------------------------
 
-    def _backtrack(self) -> Optional[int]:
-        """Undo decisions until one can be flipped; flip it and return its
-        literal, or None when the tree is exhausted."""
+    def _flip(self) -> bool:
+        """Pop the latest False decision, unwind to its mark and assert its
+        variable True, repeating while that conflicts.  Returns False when
+        no decision is left: the search is exhausted."""
         while self.decisions:
-            mark, var, flipped = self.decisions.pop()
+            mark, var = self.decisions.pop()
             self._unwind_to(mark)
-            if not flipped:
-                self.decisions.append((mark, var, True))
-                self._set(var)  # second branch: True
-                return var
-        return None
-
-    def _restore_invariants(self, clause: list[int]) -> bool:
-        """After adding a clause mid-search, unwind until it is no longer
-        falsified and propagate it if it is unit.  Returns False when the
-        search space is exhausted.
-
-        The clause arrives falsified, with its watches on its two most
-        recently assigned literals.  Unwinding frees those first, and from
-        then on propagation tracks the clause like any other.  Flips go
-        through `_recover_from_conflict` so the flipped literal is
-        propagated."""
-        while True:
-            unassigned = []
-            for lit in clause:
-                val = self._lit_value(lit)
-                if val:
-                    return True
-                if val is None:
-                    unassigned.append(lit)
-            if len(unassigned) > 1:
+            self._set(var)
+            if self._propagate([var]):
                 return True
-            if len(unassigned) == 1:
-                self._set(unassigned[0])
-                if self._propagate([unassigned[0]]):
-                    return True
-            if not self._recover_from_conflict():
-                return False
+        return False
 
     def run(self) -> Iterator[Bunch]:
         if self.unsat:
@@ -464,51 +443,30 @@ class _Enumerator:
 
         while True:
             check_deadline(self.deadline)
-            var = self._next_unassigned()
+            var = next((v for v in range(1, self.nvars + 1) if self.assign[v] is None), None)
             if var is not None:
-                self.decisions.append((len(self.trail), var, False))
-                self._set(-var)  # first branch: False
-                if not self._propagate([-var]) and not self._recover_from_conflict():
+                self.decisions.append((len(self.trail), var))
+                self._set(-var)
+                if not self._propagate([-var]) and not self._flip():
                     return
                 continue
 
-            bunch, keep_going = self._handle_total_assignment()
-            if bunch is not None:
-                yield bunch
-            if not keep_going:
-                return
-
-    def _next_unassigned(self) -> Optional[int]:
-        for v in range(1, self.nvars + 1):
-            if self.assign[v] is None:
-                return v
-        return None
-
-    def _recover_from_conflict(self) -> bool:
-        while True:
-            flipped = self._backtrack()
-            if flipped is None:
-                return False
-            if self._propagate([flipped]):
-                return True
-
-    def _handle_total_assignment(self) -> tuple[Optional[Bunch], bool]:
-        """Theory-check the current total assignment.  Either emit a bunch
-        (minimized, then blocked) or block the shrunk theory conflict core.
-        The boolean says whether the search can continue."""
-        theory_lits = [(v, bool(self.assign[v])) for v in sorted(self.formula.atom_map)]
-        core = theory_check(theory_lits, self.theory)
-        bunch: Optional[Bunch] = None
-        if core is None:
-            total = {v: bool(self.assign[v]) for v in range(1, self.nvars + 1)}
-            partial = minimize_assignment(total, self.clauses)
-            free = sum(1 for v in self.formula.user_bool_ids if v not in partial)
-            bunch = Bunch(dict(sorted(partial.items())), free)
-            block = [(-v if val else v) for v, val in sorted(partial.items())]
-        else:
-            block = [(-v if val else v) for v, val in core]
-        if not block:
-            # An empty blocking clause: nothing outside this bunch remains.
-            return bunch, False
-        self._install_clause(block)
-        return bunch, self._restore_invariants(block)
+            # A total assignment: block its theory conflict core, or emit it
+            # minimized as a bunch and block that.
+            theory_lits = [(v, bool(self.assign[v])) for v in sorted(self.formula.atom_map)]
+            blocked = theory_check(theory_lits, self.theory)
+            if blocked is None:
+                total = {v: bool(self.assign[v]) for v in range(1, self.nvars + 1)}
+                partial = minimize_assignment(total, self.clauses)
+                free = sum(1 for v in self.formula.user_bool_ids if v not in partial)
+                yield Bunch(dict(sorted(partial.items())), free)
+                blocked = sorted(partial.items())
+            block = [(-v if val else v) for v, val in blocked]
+            if not block:
+                return  # nothing outside this bunch remains
+            # The block arrives false, watching its two latest literals, so
+            # the first flip that frees one of them hands it to propagation.
+            self._install_clause(block)
+            while all(self._lit_value(lit) is False for lit in block):
+                if not self._flip():
+                    return

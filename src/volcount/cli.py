@@ -57,40 +57,31 @@ def _int_option(text: str, name: str) -> int:
         raise UsageError(f"{name} expects an integer, got {text!r}") from None
 
 
+_INT_OPTIONS = {"-w": "word_length", "-minc": "min_coeff", "-maxc": "max_coeff", "--seed": "seed"}
+_BACKENDS = {"-P": Backend.ESTIMATE, "-V": Backend.EXACT_VOLUME, "-L": Backend.INTEGER_COUNT}
+
+
 def parse_cli(argv: list[str]) -> CliRequest:
+    """Read the command line.  Only the options given reach `SolverConfig`,
+    which holds every default."""
+    options: dict[str, object] = {}
     backends: set[Backend] = set()
-    word_length = 8
-    min_coeff = 40
-    max_coeff = 1600
-    seed = 0
-    timeout: Optional[float] = None
     json = False
     input_path: Optional[str] = None
 
     for arg in argv:
+        name, eq, value = arg.partition("=")
         if arg == "--help":
             return CliRequest(SolverConfig(), None, show_help=True)
-        if arg == "-P":
-            backends.add(Backend.ESTIMATE)
-        elif arg == "-V":
-            backends.add(Backend.EXACT_VOLUME)
-        elif arg == "-L":
-            backends.add(Backend.INTEGER_COUNT)
-        elif arg.startswith("-w="):
-            word_length = _int_option(arg[3:], "-w")
-        elif arg.startswith("-minc="):
-            min_coeff = _int_option(arg[6:], "-minc")
-        elif arg.startswith("-maxc="):
-            max_coeff = _int_option(arg[6:], "-maxc")
-        elif arg.startswith("--seed="):
-            seed = _int_option(arg[7:], "--seed")
-        elif arg.startswith("--timeout="):
+        if arg in _BACKENDS:
+            backends.add(_BACKENDS[arg])
+        elif eq and name in _INT_OPTIONS:
+            options[_INT_OPTIONS[name]] = _int_option(value, name)
+        elif eq and name == "--timeout":
             try:
-                timeout = float(arg[10:])
+                options["timeout"] = float(value)
             except ValueError:
-                raise UsageError(
-                    f"--timeout expects a number, got {arg[10:]!r}"
-                ) from None
+                raise UsageError(f"--timeout expects a number, got {value!r}") from None
         elif arg == "--json":
             json = True
         elif arg.startswith("-"):
@@ -100,17 +91,10 @@ def parse_cli(argv: list[str]) -> CliRequest:
         else:
             raise UsageError(f"unexpected extra argument {arg!r}")
 
-    if not backends:
-        backends = {Backend.ESTIMATE}
+    if backends:
+        options["backends"] = frozenset(backends)
     try:
-        config = SolverConfig(
-            word_length=word_length,
-            min_coeff=min_coeff,
-            max_coeff=max_coeff,
-            backends=frozenset(backends),
-            seed=seed,
-            timeout=timeout,
-        )
+        config = SolverConfig(**options)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return CliRequest(config, input_path, json=json)

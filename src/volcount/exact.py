@@ -14,7 +14,7 @@ determines the reduced body regardless of the substitution order.  Each key
 is read in one place: the pair in the facet loop, before a facet's body is
 built, so a repeated facet costs one lookup; the canonical key of the rows
 when a body is entered, which catches a body reached under a new pair.  Both
-are stored once the body is done.
+are stored once the body is done, or once its emptiness LP finds it empty.
 
 Every row is scaled so that its largest |a_ij| is exactly 1.0 (x / |x| is
 exact in IEEE arithmetic).  A facet pivots on that entry, so the factor
@@ -169,7 +169,7 @@ def _volume_rec(
         # Empty bodies short-circuit; the planar/interval base cases above
         # detect emptiness on their own, so only interior nodes pay for it.
         if linprog(a, b, np.zeros((0, n)), np.zeros(0)).status is not LpStatus.OPTIMAL:
-            memo[key] = 0.0
+            memo[key] = memo[ckey] = 0.0
             return 0.0
         total = 0.0
         for i in range(m):

@@ -127,7 +127,6 @@ def simplex_max(
     ) -> tuple[float, np.ndarray]:
         """Pivot to optimality; return the objective and the final reduced
         costs (math.inf for the objective when unbounded)."""
-        nonlocal tab, basis
         iters = 0
         mode_bland = use_bland
         while True:
@@ -146,14 +145,9 @@ def simplex_max(
             best = ratios.min()
             ties = pos[ratios <= best + 1e-12]
             r = int(ties[np.argmin([basis[t] for t in ties])])
-            piv = tab[r, j]
-            tab[r] /= piv
-            col_vals = tab[:, j].copy()
-            col_vals[r] = 0.0
-            tab -= np.outer(col_vals, tab[r])
+            _pivot(tab, basis, r, j)
             zval -= zrow[j] * tab[r, n_cols]
             zrow = zrow - zrow[j] * tab[r, : n_cols + 1][:n_cols]
-            basis[r] = j
             iters += 1
             if not mode_bland and iters > limit:
                 mode_bland = True
@@ -188,13 +182,7 @@ def simplex_max(
             if nz.size == 0:
                 keep[i] = False
                 continue
-            j = int(nz[0])
-            piv = tab[i, j]
-            tab[i] /= piv
-            col_vals = tab[:, j].copy()
-            col_vals[i] = 0.0
-            tab -= np.outer(col_vals, tab[i])
-            basis[i] = j
+            _pivot(tab, basis, i, int(nz[0]))
     if not keep.all():
         tab = tab[keep]
         basis = [b for b, k in zip(basis, keep) if k]
@@ -219,6 +207,16 @@ def simplex_max(
         x[basis[i]] = tab[i, n_cols]
     point = x[:n] - x[n : 2 * n]
     return LpResult(LpStatus.OPTIMAL, float(np.dot(c, point)), point)
+
+
+def _pivot(tab: np.ndarray, basis: list[int], r: int, j: int) -> None:
+    """Pivot column j into the basis at row r, in place."""
+    piv = tab[r, j]
+    tab[r] /= piv
+    col_vals = tab[:, j].copy()
+    col_vals[r] = 0.0
+    tab -= np.outer(col_vals, tab[r])
+    basis[r] = j
 
 
 def _checked_max(c: np.ndarray, a_ub, b_ub, a_eq, b_eq) -> LpResult:

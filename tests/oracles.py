@@ -12,11 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from volcount.bunches import SUPPORT_TOL
+from volcount.bunches import SUPPORT_TOL, TheoryRows, minimize_assignment, theory_check
 from volcount.errors import NumericalError
 from volcount.exact import _CONSTANT_ROW_TOL, _VERTEX_TOL, _ZERO_TOL
 from volcount.lp import LpStatus, lp_feasible
 from volcount.model import (
+    Bunch,
     Cmp,
     LinearConstraint,
     Formula,
@@ -304,6 +305,31 @@ def bunch_models(bunch, formula: Formula):
         out = dict(fixed)
         out.update(zip(free, bits))
         yield out
+
+
+def lex_bunches(formula: Formula, config) -> list:
+    """The bunch sequence by brute force.  Every total assignment is visited
+    in lexicographic order (variable 1 most significant, False before True);
+    one that satisfies the clauses and every block so far is theory-checked
+    with the production `theory_check`.  A consistent one is minimized with
+    the production `minimize_assignment` over the clauses and blocks,
+    emitted, and blocked; an inconsistent one has its core blocked."""
+    rows = TheoryRows(formula, config)
+    clauses = [list(c) for c in formula.clauses]
+    out = []
+    nb = formula.num_bool_vars
+    for bits in itertools.product((False, True), repeat=nb):
+        assignment = {v: bits[v - 1] for v in range(1, nb + 1)}
+        if not all(clause_true(c, assignment) for c in clauses):
+            continue
+        blocked = theory_check([(v, assignment[v]) for v in sorted(formula.atom_map)], rows)
+        if blocked is None:
+            partial = minimize_assignment(assignment, clauses)
+            free = sum(1 for v in formula.user_bool_ids if v not in partial)
+            out.append(Bunch(dict(sorted(partial.items())), free))
+            blocked = sorted(partial.items())
+        clauses.append([-v if value else v for v, value in blocked])
+    return out
 
 
 def lp_theory_check(literals, rows):

@@ -26,7 +26,7 @@ from volcount.model import (
 )
 from volcount.volce import parse_volce
 
-from oracles import clause_true, ineq, lp_theory_check, skeleton_models, threshold_slab
+from oracles import clause_true, ineq, lex_bunches, lp_theory_check, skeleton_models, threshold_slab
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CFG = SolverConfig(word_length=3)
@@ -294,6 +294,26 @@ class TestConflictCores:
         bunches = list(enumerate_bunches(threshold_slab(20), SolverConfig(word_length=0)))
         assert len(bunches) == 20
         assert len(calls) == 0
+
+
+class TestLexOrder:
+    """Each bunch is the lexicographically next model of the clauses plus
+    the earlier blocks; the `-P` sampler seeds on the bunch index."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_order(self, data):
+        num_vars = data.draw(st.integers(1, 9))
+        n = data.draw(st.integers(1, 2))
+        atoms = random_atoms(data, n, data.draw(st.integers(0, min(4, num_vars))))
+        clauses = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            width = data.draw(st.integers(1, min(3, num_vars)))
+            chosen = data.draw(st.permutations(range(1, num_vars + 1)))[:width]
+            clauses.append(tuple(v if data.draw(st.booleans()) else -v for v in chosen))
+        f = Formula(num_vars, tuple(clauses), atoms, n, NumericKind.INT)
+        config = SolverConfig(word_length=data.draw(st.sampled_from([0, 2, 3])))
+        assert list(enumerate_bunches(f, config)) == lex_bunches(f, config)
 
 
 def count_lps(monkeypatch):

@@ -13,10 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import volcount
+from volcount.bunches import enumerate_bunches
+from volcount.driver import load_formula
 from volcount.errors import NumericalError, UnboundedError
 from volcount.exact import _clean_rows, _polygon_area, exact_volume
 from volcount.lp import LpResult, LpStatus, lp_optimize
-from volcount.model import Cmp, make_polytope
+from volcount.model import Cmp, SolverConfig, bunch_polytope, make_polytope
 
 from oracles import (
     clean_rows_loop,
@@ -263,10 +265,20 @@ class TestDegenerate:
         assert exact_volume(poly(extra, 2)) == pytest.approx(4.0, rel=1e-12)
 
 
+def _single_bunch_body(fixture, word_length):
+    """The polytope of a fixture's only bunch."""
+    config = SolverConfig(word_length=word_length)
+    formula = load_formula(str(Path(__file__).parent / "fixtures" / fixture))
+    (bunch,) = enumerate_bunches(formula, config)
+    return bunch_polytope(bunch, formula, config)[0]
+
+
 class TestMemoHits:
     """Bodies entered and emptiness LPs run by one call.  A pair-key miss
     enters one more body, and a canonical-key miss in dimension 3 or more
-    also runs one more LP, so a lookup that stops hitting raises a count."""
+    also runs one more LP, so a lookup that stops hitting raises a count.
+    A canonical-key hit also covers a body an earlier emptiness LP found
+    empty (find_path1 enters empty bodies under many pairs)."""
 
     @pytest.mark.parametrize(
         "body,bodies,lps",
@@ -275,8 +287,9 @@ class TestMemoHits:
             (cross_polytope(5), 288, 29),
             (simplex(8), 7, 6),
             (sheared_cube(5, 2), 81, 16),
+            (_single_bunch_body("find_path1.vs", 3), 1801, 291),
         ],
-        ids=["cube8", "cross5", "simplex8", "S(5,2)"],
+        ids=["cube8", "cross5", "simplex8", "S(5,2)", "find_path1-w3"],
     )
     def test_call_counts(self, body, bodies, lps):
         exact = volcount.exact

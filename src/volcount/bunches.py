@@ -309,7 +309,6 @@ class _Enumerator:
         self.trail: list[int] = []  # literals in assignment order
         self.trail_pos: dict[int, int] = {}  # var -> index into trail
         self.decisions: list[tuple[int, int]] = []  # (trail length, var) per False decision
-        self.root_units: list[int] = []
         self.unsat = False
         self.theory = TheoryRows(formula, config)
         for clause in formula.clauses:
@@ -347,7 +346,6 @@ class _Enumerator:
         ci = len(self.clauses)
         self.clauses.append(clause)
         if len(clause) == 1:
-            self.root_units.append(clause[0])
             self.watches.append((0, 0))
             self.watch_map.setdefault(clause[0], []).append(ci)
             return
@@ -432,7 +430,7 @@ class _Enumerator:
     def run(self) -> Iterator[Bunch]:
         if self.unsat:
             return
-        for lit in self.root_units:
+        for (lit,) in (c for c in self.formula.clauses if len(c) == 1):
             val = self._lit_value(lit)
             if val is None:
                 self._set(lit)

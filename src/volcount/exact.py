@@ -7,9 +7,13 @@ Applying the divergence theorem to the vector field x on a polytope
 
 with signed distances, so the identity holds wherever the origin sits.  Each
 facet measure is a lower-dimensional polytope volume after substituting out
-one variable, which recurses down to planar polygons handled by a shoelace
-base case.  Sub-bodies are memoized on (rows used as equations, variables
-left): Gaussian elimination steps on distinct pivots commute, so that pair
+one variable.  The recursion runs down to edges: a planar body takes the
+identity once more, with each edge measured as an interval along its line,
+and a 1-D body is one such interval.  Both base cases share one interval
+kernel, and no vertex is ever enumerated.
+
+Sub-bodies are memoized on (rows used as equations, variables left):
+Gaussian elimination steps on distinct pivots commute, so that pair
 determines the reduced body regardless of the substitution order.  Each key
 is read in one place: the pair in the facet loop, before a facet's body is
 built, so a repeated facet costs one lookup; the canonical key of the rows
@@ -22,14 +26,13 @@ b_i / |a_i,piv| by which the facet's projected volume enters the sum is b_i
 itself.
 
 Each interior node (dimension 3 and up) first checks that its body is
-nonempty with one feasibility LP on the built-in simplex of ``lp.py``; the
-interval and polygon base cases detect emptiness themselves.  No redundancy
-pruning runs: a redundant row's face is empty or lower-dimensional, so it
-adds zero to the sum.
+nonempty with one feasibility LP on the built-in simplex of ``lp.py``.  The
+base cases need no LP: every edge lies in its body, so the edges of an empty
+body are empty intervals.  No redundancy pruning runs: a redundant row's
+face is empty or lower-dimensional, so it adds zero to the sum.
 """
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -43,7 +46,6 @@ from .model import Cmp, Polytope
 
 _ZERO_TOL = 1e-12
 _CONSTANT_ROW_TOL = 1e-9
-_VERTEX_TOL = 1e-7
 
 
 def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
@@ -159,10 +161,9 @@ def _volume_rec(
         memo[key] = hit
         return hit
 
-    n = a.shape[1]
-    m = a.shape[0]
+    m, n = a.shape
     if n == 1:
-        vol = _interval_length(a, b)
+        vol = float(_interval_widths(a.T, b[None, :])[0])
     elif n == 2:
         vol = _polygon_area(a, b)
     else:
@@ -207,46 +208,35 @@ def _substitute(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...], i: int, piv:
     return _clean_rows(a_new[mask], b_new[mask], tuple(x for j, x in enumerate(ids) if mask[j]))
 
 
-def _interval_length(a: np.ndarray, b: np.ndarray) -> float:
-    lo = -math.inf
-    hi = math.inf
-    for i in range(a.shape[0]):
-        coef = a[i, 0]
-        if coef > _ZERO_TOL:
-            hi = min(hi, b[i] / coef)
-        elif coef < -_ZERO_TOL:
-            lo = max(lo, b[i] / coef)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NumericalError("unbounded face in volume recursion")
-    return max(hi - lo, 0.0)
-
-
 def _polygon_area(a: np.ndarray, b: np.ndarray) -> float:
-    """Area of { A x <= b } in the plane: enumerate pairwise line
-    intersections, keep the feasible ones, walk them in angular order."""
-    i, j = np.triu_indices(a.shape[0], 1)
+    """Area of { A x <= b } in the plane by the facet identity taken one
+    level down.  Row i's edge is p_i + t d_i over the interval of t the other
+    rows allow, with p_i = b_i a_i / |a_i|^2 the foot of its line and
+    d_i = (-a_i2, a_i1) along it.  The edge is |a_i| (t_hi - t_lo) long, so
+    2 * area = sum_i b_i (t_hi - t_lo)."""
     a0, a1 = a[:, 0], a[:, 1]
-    det = a0[i] * a1[j] - a1[i] * a0[j]
-    regular = ~(np.abs(det) < _ZERO_TOL)
-    i, j, det = i[regular], j[regular], det[regular]
-    x = (b[i] * a1[j] - b[j] * a1[i]) / det
-    y = (a0[i] * b[j] - a0[j] * b[i]) / det
-    inside = np.all(np.outer(x, a0) + np.outer(y, a1) <= b + _VERTEX_TOL, axis=1)
-    pts = list(zip(x[inside].tolist(), y[inside].tolist()))
-    if len(pts) < 3:
-        return 0.0
-    uniq: list[tuple[float, float]] = []
-    for x, y in pts:
-        if all(abs(x - u) > 1e-9 or abs(y - v) > 1e-9 for u, v in uniq):
-            uniq.append((x, y))
-    if len(uniq) < 3:
-        return 0.0
-    cx = sum(x for x, _ in uniq) / len(uniq)
-    cy = sum(y for _, y in uniq) / len(uniq)
-    uniq.sort(key=lambda pt: math.atan2(pt[1] - cy, pt[0] - cx))
-    area = 0.0
-    for k in range(len(uniq)):
-        x1, y1 = uniq[k]
-        x2, y2 = uniq[(k + 1) % len(uniq)]
-        area += x1 * y2 - x2 * y1
-    return abs(area) / 2.0
+    c = b / (a0 * a0 + a1 * a1)  # p_i = c_i a_i
+    # Elementwise products, not a matrix product: a fused multiply-add would
+    # leave rounding noise where the exact slope is 0.0 (row i on itself and
+    # on its negation).
+    slope = np.outer(a0, a1) - np.outer(a1, a0)
+    room = b - (np.outer(c * a0, a0) + np.outer(c * a1, a1))
+    # Row i's line lies on row i: its own room is 0 up to rounding.
+    np.fill_diagonal(room, 0.0)
+    return max(0.5 * float(b @ _interval_widths(slope, room)), 0.0)
+
+
+def _interval_widths(slope: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """Width of the interval of t with t * slope[k, j] <= room[k, j] for
+    every j, one per row k, 0.0 when the interval is empty.  A j with
+    |slope| < _ZERO_TOL bounds nothing, but empties the interval when its
+    room is negative."""
+    up = slope > _ZERO_TOL
+    down = slope < -_ZERO_TOL
+    ratio = np.divide(room, slope, out=np.zeros_like(room), where=up | down)
+    hi = ratio.min(axis=1, where=up, initial=np.inf)
+    lo = ratio.max(axis=1, where=down, initial=-np.inf)
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        raise NumericalError("unbounded face in volume recursion")
+    blocked = np.any((room < 0.0) & ~(up | down), axis=1)
+    return np.where(blocked, 0.0, np.maximum(hi - lo, 0.0))

@@ -309,8 +309,6 @@ def integer_bounds(p: Polytope, j: int) -> Optional[tuple[int, int]]:
     only widen the range; callers prune infeasible integer values exactly.
     Raises UnboundedError when x_j is unbounded in either direction.
     """
-    if p.contradictory:
-        return None
     c = np.zeros(p.n)
     c[j] = 1.0
     hi_res = lp_optimize(p, c, "max")

@@ -14,7 +14,7 @@ import numpy as np
 
 from volcount.bunches import SUPPORT_TOL, TheoryRows, minimize_assignment, theory_check
 from volcount.errors import NumericalError
-from volcount.exact import _CONSTANT_ROW_TOL, _VERTEX_TOL, _ZERO_TOL
+from volcount.exact import _CONSTANT_ROW_TOL, _ZERO_TOL
 from volcount.lp import LpStatus, lp_feasible
 from volcount.model import (
     Bunch,
@@ -146,8 +146,8 @@ def polygon_area_2d(p: Polytope) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# loop forms of volcount.exact's array kernels (same float operations, one
-# row or one pair at a time; the array code must match them bit for bit)
+# loop form of volcount.exact's row cleaning (same float operations, one row
+# at a time; the array code must match it bit for bit)
 
 
 def clean_rows_loop(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
@@ -179,38 +179,6 @@ def clean_rows_loop(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
     b_out = np.array([kept[k][0] for k in order])
     ids_out = tuple(kept[k][1] for k in order)
     return a_out, b_out, ids_out
-
-
-def polygon_area_loop(a: np.ndarray, b: np.ndarray) -> float:
-    """Pair-by-pair reference for ``exact._polygon_area``."""
-    m = a.shape[0]
-    pts: list[tuple[float, float]] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
-            if abs(det) < _ZERO_TOL:
-                continue
-            x = (b[i] * a[j, 1] - b[j] * a[i, 1]) / det
-            y = (a[i, 0] * b[j] - a[j, 0] * b[i]) / det
-            if np.all(a[:, 0] * x + a[:, 1] * y <= b + _VERTEX_TOL):
-                pts.append((x, y))
-    if len(pts) < 3:
-        return 0.0
-    uniq: list[tuple[float, float]] = []
-    for x, y in pts:
-        if all(abs(x - u) > 1e-9 or abs(y - v) > 1e-9 for u, v in uniq):
-            uniq.append((x, y))
-    if len(uniq) < 3:
-        return 0.0
-    cx = sum(x for x, _ in uniq) / len(uniq)
-    cy = sum(y for _, y in uniq) / len(uniq)
-    uniq.sort(key=lambda pt: math.atan2(pt[1] - cy, pt[0] - cx))
-    area = 0.0
-    for k in range(len(uniq)):
-        x1, y1 = uniq[k]
-        x2, y2 = uniq[(k + 1) % len(uniq)]
-        area += x1 * y2 - x2 * y1
-    return abs(area) / 2.0
 
 
 # ---------------------------------------------------------------------------

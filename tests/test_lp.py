@@ -239,6 +239,11 @@ class TestPolytopeHelpers:
         empty = poly([ineq([1], 0), ineq([-1], -1)], 1)
         assert integer_bounds(empty, 0) is None
 
+    def test_integer_bounds_contradictory(self):
+        q = make_polytope([ineq([1, 1], 0, Cmp.EQ), ineq([1, 1], 1, Cmp.EQ)], 2)
+        assert q.contradictory
+        assert integer_bounds(q, 0) is None
+
     def test_integer_bounds_unbounded(self):
         p = poly([ineq([-1, 0], 0)], 2)
         with pytest.raises(UnboundedError):

@@ -215,14 +215,15 @@ def _polygon_area(a: np.ndarray, b: np.ndarray) -> float:
     d_i = (-a_i2, a_i1) along it.  The edge is |a_i| (t_hi - t_lo) long, so
     2 * area = sum_i b_i (t_hi - t_lo)."""
     a0, a1 = a[:, 0], a[:, 1]
-    c = b / (a0 * a0 + a1 * a1)  # p_i = c_i a_i
     # Elementwise products, not a matrix product: a fused multiply-add would
     # leave rounding noise where the exact slope is 0.0 (row i on itself and
     # on its negation).
     slope = np.outer(a0, a1) - np.outer(a1, a0)
-    room = b - (np.outer(c * a0, a0) + np.outer(c * a1, a1))
-    # Row i's line lies on row i: its own room is 0 up to rounding.
-    np.fill_diagonal(room, 0.0)
+    gram = np.outer(a0, a0) + np.outer(a1, a1)
+    # Row j's room at p_i is b_j - (a_i . a_j / |a_i|^2) b_i.  The ratio is
+    # exactly 1 on row i itself and -1 on its negation, so a row's own room
+    # is exactly 0 and a row and its negation see the same room b_i + b_j.
+    room = b - gram / np.diag(gram)[:, None] * b[:, None]
     return max(0.5 * float(b @ _interval_widths(slope, room)), 0.0)
 
 

@@ -8,8 +8,22 @@ toward the smallest basis column, and everything is plain numpy float64.
 Each row is scaled by its largest coefficient max|a| before pivoting (a
 zero row keeps scale 1).  The right-hand side does not enter the scale, so
 a row such as ``x < 2^31`` keeps its coefficient at 1 instead of shrinking
-below the pivot tolerance.  Phase-1 feasibility stays absolute (FEAS_TOL in
-the units of the scaled rows).
+below the pivot tolerance.
+
+Every verdict on a point uses one rule: row i is met at x when
+a_i x - b_i <= max(FEAS_TOL, REL_TOL (|a_i|_1 |x|_inf + |b_i|)), that is,
+absolutely near unit scale and relative to the row's magnitude far from it
+(an equality row bounds |a_i x - b_i|).  REL_TOL = 1e-14 sits above the
+rounding noise of the residuals, at most about 2e-15 of that magnitude on
+bodies with bounds up to 2^31, and below the margin of an inconsistent
+integer row: one with largest coefficient c misses by 1/c or more in the
+scaled rows, which the rule sees at 2^31 for c up to about 10^4.
+
+Phase 1 calls a system infeasible when its artificial mass is above
+FEAS_TOL and the phase-1 point misses one of the scaled rows it solved by
+this rule.  ``simplex_max`` checks its optimum against the caller's rows,
+unscaled, by the same rule inside the solve and raises NumericalError when
+a row is missed, so each LP is solved once.
 
 Rows with b < 0 are negated first.  Phase 1 then starts each inequality row
 that kept b >= 0 on its slack, and each negated row and each equality row
@@ -39,7 +53,7 @@ from .errors import NumericalError, UnboundedError
 from .model import Polytope
 
 FEAS_TOL = 1e-7
-RESIDUAL_TOL = 1e-6
+REL_TOL = 1e-14
 PIVOT_TOL = 1e-9
 FLATNESS_TOL = 1e-7
 
@@ -64,9 +78,12 @@ def simplex_max(
     b_ub: np.ndarray,
     a_eq: Optional[np.ndarray] = None,
     b_eq: Optional[np.ndarray] = None,
-    bland: bool = False,
 ) -> LpResult:
-    """Maximize ``c . x`` over free x with ``a_ub x <= b_ub``, ``a_eq x = b_eq``."""
+    """Maximize ``c . x`` over free x with ``a_ub x <= b_ub``, ``a_eq x = b_eq``.
+
+    Raises NumericalError when the optimum misses an input row beyond the
+    row's tolerance (see the module docstring).
+    """
     c = np.asarray(c, dtype=float)
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float)
@@ -77,37 +94,35 @@ def simplex_max(
     a_eq = np.asarray(a_eq, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
 
-    if n == 0:
-        feasible = bool(np.all(b_ub >= -FEAS_TOL)) and bool(np.all(np.abs(b_eq) <= FEAS_TOL))
-        if not feasible:
-            return LpResult(LpStatus.INFEASIBLE)
-        return LpResult(LpStatus.OPTIMAL, 0.0, np.zeros(0))
-
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
     a_all = np.vstack([a_ub, a_eq]) if m else np.zeros((0, n))
     b_all = np.concatenate([b_ub, b_eq])
 
+    if n == 0:
+        if _violation(a_all, b_all, m_ub, np.zeros(0)) > 0.0:
+            return LpResult(LpStatus.INFEASIBLE)
+        return LpResult(LpStatus.OPTIMAL, 0.0, np.zeros(0))
+
     # Row scaling for conditioning (does not change the feasible set).
     scales = np.abs(a_all).max(axis=1)
     scales[scales < 1e-300] = 1.0
-    a_all = a_all / scales[:, None]
-    b_all = b_all / scales
+    a_scaled = a_all / scales[:, None]
+    b_scaled = b_all / scales
 
     # Columns: n positive parts, n negative parts, m_ub slacks, m artificials.
     n_struct = 2 * n + m_ub
     n_cols = n_struct + m
     tab = np.zeros((m, n_cols + 1))
-    tab[:, :n] = a_all
-    tab[:, n : 2 * n] = -a_all
-    for i in range(m_ub):
-        tab[i, 2 * n + i] = 1.0
-    tab[:, n_cols] = b_all
+    tab[:, :n] = a_scaled
+    tab[:, n : 2 * n] = -a_scaled
+    rows = np.arange(m)
+    tab[rows[:m_ub], 2 * n + rows[:m_ub]] = 1.0
+    tab[:, n_cols] = b_scaled
     neg = tab[:, n_cols] < 0
     tab[neg, :n_cols] *= -1.0
     tab[neg, n_cols] *= -1.0
-    for i in range(m):
-        tab[i, n_struct + i] = 1.0
+    tab[rows, n_struct + rows] = 1.0
     # An inequality row with b >= 0 starts on its slack; flipped rows and
     # equality rows start on their artificial.  Every row keeps its
     # artificial column, so the certificate read-out below holds for any
@@ -122,13 +137,11 @@ def simplex_max(
 
     limit = max(500, 60 * (m + n_cols))
 
-    def run_phase(
-        zrow: np.ndarray, zval: float, allowed: int, use_bland: bool
-    ) -> tuple[float, np.ndarray]:
+    def run_phase(zrow: np.ndarray, zval: float, allowed: int) -> tuple[float, np.ndarray]:
         """Pivot to optimality; return the objective and the final reduced
         costs (math.inf for the objective when unbounded)."""
         iters = 0
-        mode_bland = use_bland
+        mode_bland = False
         while True:
             cand = np.where(zrow[:allowed] < -PIVOT_TOL)[0]
             if cand.size == 0:
@@ -159,10 +172,14 @@ def simplex_max(
     zrow1 = -tab[on_art, :n_cols].sum(axis=0)
     zrow1[n_struct:] += 1.0
     zval1 = -float(tab[on_art, n_cols].sum())
-    art_sum, zrow1 = run_phase(zrow1, zval1, n_struct + m, bland)
+    art_sum, zrow1 = run_phase(zrow1, zval1, n_struct + m)
     if art_sum is math.inf:
         return LpResult(LpStatus.INFEASIBLE)
-    if -art_sum > FEAS_TOL:
+    # Leftover artificial mass is infeasibility only when the phase-1 point
+    # misses a row beyond that row's tolerance; otherwise it is rounding.
+    if -art_sum > FEAS_TOL and (
+        _violation(a_scaled, b_scaled, m_ub, _basic_point(tab, basis, n)) > 0.0
+    ):
         # Phase 1 maximizes -sum(artificials), so the simplex multipliers of
         # the flipped, scaled rows are zrow1[artificials] - 1.  Undo the flip
         # and the scale, and clip rounding residue below zero on inequality
@@ -198,14 +215,14 @@ def simplex_max(
         if cb != 0.0:
             zrow2 += cb * tab[i, :n_cols]
             zval2 += cb * tab[i, n_cols]
-    value, _ = run_phase(zrow2, zval2, n_struct, bland)
+    value, _ = run_phase(zrow2, zval2, n_struct)
     if value is math.inf:
         return LpResult(LpStatus.UNBOUNDED)
 
-    x = np.zeros(n_cols)
-    for i in range(m):
-        x[basis[i]] = tab[i, n_cols]
-    point = x[:n] - x[n : 2 * n]
+    point = _basic_point(tab, basis, n)
+    viol = _violation(a_all, b_all, m_ub, point)
+    if viol > 0.0:
+        raise NumericalError(f"LP solution violates constraints by {viol:.3g}")
     return LpResult(LpStatus.OPTIMAL, float(np.dot(c, point)), point)
 
 
@@ -219,29 +236,26 @@ def _pivot(tab: np.ndarray, basis: list[int], r: int, j: int) -> None:
     basis[r] = j
 
 
-def _checked_max(c: np.ndarray, a_ub, b_ub, a_eq, b_eq) -> LpResult:
-    """``simplex_max`` with the optimum re-checked against the unscaled rows,
-    retried under Bland's rule when it violates them by more than FEAS_TOL."""
-    res = simplex_max(c, a_ub, b_ub, a_eq, b_eq)
-    if res.status is not LpStatus.OPTIMAL:
-        return res
-    if _violation(a_ub, b_ub, a_eq, b_eq, res.point) > FEAS_TOL:
-        res = simplex_max(c, a_ub, b_ub, a_eq, b_eq, bland=True)
-        if res.status is not LpStatus.OPTIMAL:
-            return res
-        viol = _violation(a_ub, b_ub, a_eq, b_eq, res.point)
-        if viol > RESIDUAL_TOL:
-            raise NumericalError(f"LP solution violates constraints by {viol:.3g}")
-    return res
+def _basic_point(tab: np.ndarray, basis: list[int], n: int) -> np.ndarray:
+    """The x the basis reads: each basic column at its row's right-hand
+    side, every other column at 0, positive minus negative parts."""
+    x = np.zeros(tab.shape[1] - 1)
+    x[basis] = tab[:, -1]
+    return x[:n] - x[n : 2 * n]
 
 
-def _violation(a_ub, b_ub, a_eq, b_eq, x) -> float:
-    worst = 0.0
-    if a_ub.shape[0]:
-        worst = max(worst, float(np.max(a_ub @ x - b_ub)))
-    if a_eq.shape[0]:
-        worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq))))
-    return worst
+def _violation(a: np.ndarray, b: np.ndarray, m_ub: int, x: np.ndarray) -> float:
+    """The largest residual by which x misses a row beyond the row's
+    tolerance max(FEAS_TOL, REL_TOL (|a_i|_1 |x|_inf + |b_i|)), or 0.0 when
+    x meets every row.  Rows from m_ub on are equalities.  The magnitudes
+    are computed only when some row is over FEAS_TOL."""
+    r = a @ x - b
+    if m_ub < r.size:
+        r[m_ub:] = np.abs(r[m_ub:])
+    if r.max(initial=0.0) <= FEAS_TOL:
+        return 0.0
+    mag = np.abs(a).sum(axis=1) * np.abs(x).max(initial=0.0) + np.abs(b)
+    return float(r.max(where=r > np.maximum(FEAS_TOL, REL_TOL * mag), initial=0.0))
 
 
 def lp_optimize(p: Polytope, objective: Sequence[float], sense: str = "max") -> LpResult:
@@ -255,7 +269,7 @@ def lp_optimize(p: Polytope, objective: Sequence[float], sense: str = "max") -> 
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     c = np.asarray(objective, dtype=float)
-    res = _checked_max(c if sense == "max" else -c, *p.split_arrays())
+    res = simplex_max(c if sense == "max" else -c, *p.split_arrays())
     if res.status is not LpStatus.OPTIMAL:
         return res
     return LpResult(LpStatus.OPTIMAL, float(np.dot(c, res.point)), res.point)
@@ -270,7 +284,7 @@ def lp_feasible(
     Takes float arrays as :meth:`Polytope.split_arrays` returns them; strict
     rows are read as their closures.
     """
-    return _checked_max(np.zeros(a_ub.shape[1]), a_ub, b_ub, a_eq, b_eq)
+    return simplex_max(np.zeros(a_ub.shape[1]), a_ub, b_ub, a_eq, b_eq)
 
 
 def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:
@@ -296,7 +310,7 @@ def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:
     b_aug = np.concatenate([b, [rho_cap]])
     c = np.zeros(p.n + 1)
     c[p.n] = 1.0
-    res = _checked_max(c, a_aug, b_aug, np.zeros((0, p.n + 1)), np.zeros(0))
+    res = simplex_max(c, a_aug, b_aug)
     if res.status is not LpStatus.OPTIMAL:
         raise NumericalError("Chebyshev LP did not solve")
     return res.point[: p.n], float(res.point[p.n])
@@ -305,8 +319,11 @@ def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:
 def integer_bounds(p: Polytope, j: int) -> Optional[tuple[int, int]]:
     """Integer range [ceil(min x_j), floor(max x_j)] over the closure.
 
-    Returns None when the polytope is empty.  The small rounding slack can
-    only widen the range; callers prune infeasible integer values exactly.
+    Returns None when the polytope is empty.  Each end moves outward by the
+    rounding slack max(FEAS_TOL, REL_TOL |x|_inf) of its optimal point x,
+    the module's rule for the row x_j <= value, before it is rounded: an end
+    at 0 on a body 2^31 wide can read 1.2e-7.  The slack only widens the
+    range; callers prune infeasible integer values exactly.
     Raises UnboundedError when x_j is unbounded in either direction.
     """
     c = np.zeros(p.n)
@@ -319,6 +336,11 @@ def integer_bounds(p: Polytope, j: int) -> Optional[tuple[int, int]]:
         return None
     if hi_res.status is LpStatus.UNBOUNDED or lo_res.status is LpStatus.UNBOUNDED:
         raise UnboundedError(f"variable x{j + 1} is unbounded")
-    lo = math.ceil(lo_res.value - FEAS_TOL)
-    hi = math.floor(hi_res.value + FEAS_TOL)
+    lo = math.ceil(lo_res.value - _slack(lo_res.point))
+    hi = math.floor(hi_res.value + _slack(hi_res.point))
     return lo, hi
+
+
+def _slack(x: np.ndarray) -> float:
+    """The tolerance of the row x_j <= value at the optimal point x."""
+    return max(FEAS_TOL, REL_TOL * float(np.abs(x).max(initial=0.0)))

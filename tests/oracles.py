@@ -392,6 +392,56 @@ def hull_volume(p) -> float:
         return 0.0
 
 
+def _solve_exact(rows, rhs):
+    """The unique solution of a square Fraction system, or None when it is
+    singular (Gauss-Jordan elimination, exact)."""
+    n = len(rows)
+    m = [list(r) + [c] for r, c in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def exact_vertex_volume(p) -> float:
+    """Volume by exact vertex enumeration plus Qhull.
+
+    Solves every n-by-n subsystem of the rows in Fraction arithmetic and
+    keeps the solutions that meet every row exactly: these are the vertices,
+    with no tolerance at any scale.  Qhull then takes the volume of their
+    hull, shifted to the exact centroid.  Strict rows count as their
+    closures; an equality row gives 0.0.  Exponential in the row count.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    if p.contradictory or any(r.op is Cmp.EQ for r in p.rows):
+        return 0.0
+    rows = [(tuple(r.coeffs), r.rhs) for r in p.rows]
+    verts = set()
+    for sub in itertools.combinations(rows, p.n):
+        x = _solve_exact([a for a, _ in sub], [b for _, b in sub])
+        if x is not None and all(
+            sum((c * v for c, v in zip(a, x)), start=Fraction(0)) <= b for a, b in rows
+        ):
+            verts.add(x)
+    if len(verts) <= p.n:
+        return 0.0
+    centroid = [sum(col, start=Fraction(0)) / len(verts) for col in zip(*verts)]
+    pts = np.array([[float(v - c) for v, c in zip(x, centroid)] for x in verts])
+    if p.n == 1:
+        return float(pts.max() - pts.min())
+    try:
+        return float(ConvexHull(pts).volume)
+    except QhullError:
+        return 0.0
+
+
 # ---------------------------------------------------------------------------
 # order polynomials: counts of difference-order systems over N values
 

@@ -5,9 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import volcount.lp
+from volcount.bunches import enumerate_bunches
+from volcount.driver import load_formula
 from volcount.errors import NumericalError, UnboundedError
 from volcount.lp import (
-    LpResult,
     LpStatus,
     chebyshev_center,
     integer_bounds,
@@ -15,7 +16,7 @@ from volcount.lp import (
     lp_optimize,
     simplex_max,
 )
-from volcount.model import Cmp, make_polytope
+from volcount.model import Cmp, SolverConfig, make_polytope
 
 from oracles import cube, ineq, poly
 
@@ -51,6 +52,21 @@ class TestSimplexMax:
     def test_unbounded(self):
         res = simplex_max(np.array([1.0]), np.array([[-1.0]]), np.array([0.0]))
         assert res.status is LpStatus.UNBOUNDED
+
+    @pytest.mark.parametrize(
+        "b_ub, b_eq, status",
+        [
+            ([1.0], [0.0], LpStatus.OPTIMAL),
+            ([-1.0], [0.0], LpStatus.INFEASIBLE),
+            ([1.0], [0.5], LpStatus.INFEASIBLE),
+        ],
+    )
+    def test_no_variables(self, b_ub, b_eq, status):
+        # Rows without variables read 0 <= b_ub and 0 = b_eq.
+        res = simplex_max(
+            np.zeros(0), np.zeros((1, 0)), np.array(b_ub), np.zeros((1, 0)), np.array(b_eq)
+        )
+        assert res.status is status
 
     def test_equality_rows(self):
         # max x st x + y = 2, y <= 1, -y <= 0 -> x = 2 at y = 0
@@ -208,28 +224,34 @@ class TestPolytopeHelpers:
         _, rho = chebyshev_center(poly([ineq([1], 5)], 1))
         assert rho == pytest.approx(5.0, abs=1e-9)
 
-    @pytest.mark.parametrize("bad_calls", [{False}, {False, True}], ids=["retried", "raised"])
-    def test_chebyshev_goes_through_the_checked_solve(self, monkeypatch, bad_calls):
-        # A first solve whose optimum violates the rows is retried under
-        # Bland's rule; when the retry is bad too, the LP is an error.
-        real = volcount.lp.simplex_max
-        calls = []
+    def test_a_bad_optimum_raises_after_one_solve(self, monkeypatch):
+        # The final point is checked inside the solve: a point read-out that
+        # misses the rows is an error at once, with no second solve.
+        real_solve, real_point = volcount.lp.simplex_max, volcount.lp._basic_point
+        solves = []
 
-        def faulty(c, a_ub, b_ub, a_eq=None, b_eq=None, bland=False):
-            calls.append(bland)
-            if bland in bad_calls:
-                return LpResult(LpStatus.OPTIMAL, 1e3, np.full(c.shape[0], 1e3))
-            return real(c, a_ub, b_ub, a_eq, b_eq, bland=bland)
+        def counted(*args):
+            solves.append(args)
+            return real_solve(*args)
 
-        monkeypatch.setattr(volcount.lp, "simplex_max", faulty)
-        if True in bad_calls:
-            with pytest.raises(NumericalError, match="violates constraints"):
-                chebyshev_center(cube(2))
-        else:
-            center, rho = chebyshev_center(cube(2))
-            assert rho == pytest.approx(1.0, abs=1e-7)
-            assert np.allclose(center, [0.0, 0.0], atol=1e-6)
-        assert calls == [False, True]
+        monkeypatch.setattr(volcount.lp, "simplex_max", counted)
+        monkeypatch.setattr(
+            volcount.lp, "_basic_point", lambda tab, basis, n: real_point(tab, basis, n) + 1e3
+        )
+        with pytest.raises(NumericalError, match="violates constraints"):
+            chebyshev_center(cube(2))
+        assert len(solves) == 1
+
+    def test_the_optimum_is_checked_against_the_callers_rows(self, monkeypatch):
+        # Maximize x with 10^6 x <= 1.  An optimum read 5e-8 too far misses
+        # the scaled row x <= 1e-6 by less than FEAS_TOL, but the row as
+        # given by 0.05.
+        real_point = volcount.lp._basic_point
+        monkeypatch.setattr(
+            volcount.lp, "_basic_point", lambda tab, basis, n: real_point(tab, basis, n) + 5e-8
+        )
+        with pytest.raises(NumericalError, match="violates constraints"):
+            simplex_max(np.array([1.0]), np.array([[1e6]]), np.array([1.0]))
 
     def test_integer_bounds_simple(self):
         p = poly([ineq([2], 5), ineq([-2], 5)], 1)  # -2.5 <= x <= 2.5
@@ -244,10 +266,71 @@ class TestPolytopeHelpers:
         assert q.contradictory
         assert integer_bounds(q, 0) is None
 
+    @pytest.mark.parametrize(
+        "rows, j, want",
+        [
+            # The upper LP value comes out as 3818040453.999997, which an
+            # absolute 1e-7 slack floors to one below the true end.
+            (
+                [([1, -1], 429933218), ([-5, 4], 1766413942), ([3, -2], 1025813256)],
+                0,
+                (-3486146814, 3818040454),
+            ),
+            # A polygon 2^33 wide whose lowest x is 0: the LP reads 1.2e-7,
+            # which a slack relative to |value| alone rounds up to 1.
+            (
+                [
+                    (coeffs, rhs * 2**31)
+                    for coeffs, rhs in [
+                        ([1, 0], 5), ([-1, 0], 5), ([0, 1], 2), ([0, -1], 1),
+                        ([1, 3], 1), ([-2, -1], 4), ([-3, -3], -1),
+                    ]
+                ],
+                0,
+                (0, 8589934592),
+            ),
+        ],
+        ids=["value-off-by-3e-6", "end-at-0"],
+    )
+    def test_integer_bounds_near_2_31_do_not_narrow(self, rows, j, want):
+        lo, hi = integer_bounds(poly([ineq(a, b) for a, b in rows], 2), j)
+        assert lo <= want[0] and hi >= want[1]
+
     def test_integer_bounds_unbounded(self):
         p = poly([ineq([-1, 0], 0)], 2)
         with pytest.raises(UnboundedError):
             integer_bounds(p, 0)
+
+
+def _enumerate_vs(tmp_path, text, word_length):
+    path = tmp_path / "system.vs"
+    path.write_text(text)
+    return list(enumerate_bunches(load_formula(str(path)), SolverConfig(word_length=word_length)))
+
+
+@pytest.mark.parametrize("word_length", [16, 24, 32])
+def test_thin_inconsistency_stays_unsat_in_a_wide_box(tmp_path, word_length):
+    """x + y <= 0, x - y <= 0 and 10^6 x >= 1 are inconsistent by 1e-6.
+    Phase 1 must judge that margin against each row's own scale: a single
+    tolerance taken from the largest |b|, the word-length box's, reads the
+    literals as consistent at -w=32, and the final check then raises out of
+    the enumeration."""
+    text = "p cnf v lc 3 3 2 3\nm1 1 1 <= 0\nm2 1 -1 <= 0\nm3 -1000000 0 <= -1\n1 0\n2 0\n3 0\n"
+    assert _enumerate_vs(tmp_path, text, word_length) == []
+
+
+@pytest.mark.parametrize("word_length", [0, 32])
+def test_thin_inconsistency_far_from_the_origin_stays_unsat(tmp_path, word_length):
+    """x <= 2^30, y <= 2^30 and 1000 x + 1000 y >= 1000 * 2^31 + 1 are
+    inconsistent by 1e-3 in the scaled rows, at points 2^30 from the origin.
+    The relative tolerance must stay near the rounding noise: at 1e-12 of
+    the rows' magnitude (4e-3 here) the literals read as consistent and
+    become a bunch."""
+    text = (
+        "p cnf v lc 3 3 2 3\nm1 1 0 <= 1073741824\nm2 0 1 <= 1073741824\n"
+        "m3 -1000 -1000 <= -2147483648001\n1 0\n2 0\n3 0\n"
+    )
+    assert _enumerate_vs(tmp_path, text, word_length) == []
 
 
 @given(st.data())

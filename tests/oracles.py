@@ -151,12 +151,11 @@ def polygon_area_2d(p: Polytope) -> Fraction:
 
 
 def clean_rows_loop(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
-    """Row-by-row reference for ``exact._clean_rows``: normalize by the
-    largest coefficient, drop constant rows (None if one is violated or no
-    row is left), merge parallel rows keeping the tightest, the earlier row
-    winning ties within 1e-15."""
-    kept: dict[tuple, tuple[float, int, np.ndarray]] = {}
-    order: list[tuple] = []
+    """Row-by-row reference for ``exact._clean_rows`` on one system:
+    normalize by the largest coefficient, drop constant rows (None if one is
+    violated or no row is left), and keep one row per direction, in the
+    place of the first: the tightest, or the earliest within 1e-15 of it."""
+    groups: dict[tuple, list[tuple[float, int, np.ndarray]]] = {}
     for i in range(a.shape[0]):
         row = a[i]
         scale = float(np.max(np.abs(row)))
@@ -165,19 +164,17 @@ def clean_rows_loop(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
                 return None
             continue
         nrow = row / scale
-        nb = float(b[i]) / scale
         key = tuple(np.round(nrow, 12))
-        prev = kept.get(key)
-        if prev is None:
-            kept[key] = (nb, ids[i], nrow)
-            order.append(key)
-        elif nb < prev[0] - 1e-15:
-            kept[key] = (nb, ids[i], nrow)
-    if not order:
+        groups.setdefault(key, []).append((float(b[i]) / scale, ids[i], nrow))
+    if not groups:
         return None
-    a_out = np.array([kept[k][2] for k in order])
-    b_out = np.array([kept[k][0] for k in order])
-    ids_out = tuple(kept[k][1] for k in order)
+    kept = []
+    for group in groups.values():
+        tightest = min(nb for nb, _, _ in group)
+        kept.append(next(g for g in group if g[0] <= tightest + 1e-15))
+    a_out = np.array([nrow for _, _, nrow in kept])
+    b_out = np.array([nb for nb, _, _ in kept])
+    ids_out = tuple(i for _, i, _ in kept)
     return a_out, b_out, ids_out
 
 
@@ -409,19 +406,12 @@ def _solve_exact(rows, rhs):
     return tuple(m[i][n] / m[i][i] for i in range(n))
 
 
-def exact_vertex_volume(p) -> float:
-    """Volume by exact vertex enumeration plus Qhull.
-
-    Solves every n-by-n subsystem of the rows in Fraction arithmetic and
-    keeps the solutions that meet every row exactly: these are the vertices,
-    with no tolerance at any scale.  Qhull then takes the volume of their
-    hull, shifted to the exact centroid.  Strict rows count as their
-    closures; an equality row gives 0.0.  Exponential in the row count.
+def exact_vertices(p) -> set:
+    """The vertices of the closure of an inequality-only polytope, exactly:
+    every n-by-n subsystem of the rows solved in Fraction arithmetic, kept
+    when the solution meets every row exactly.  A body bounded by its rows
+    is empty exactly when it has no vertex.  Exponential in the row count.
     """
-    from scipy.spatial import ConvexHull, QhullError
-
-    if p.contradictory or any(r.op is Cmp.EQ for r in p.rows):
-        return 0.0
     rows = [(tuple(r.coeffs), r.rhs) for r in p.rows]
     verts = set()
     for sub in itertools.combinations(rows, p.n):
@@ -430,6 +420,22 @@ def exact_vertex_volume(p) -> float:
             sum((c * v for c, v in zip(a, x)), start=Fraction(0)) <= b for a, b in rows
         ):
             verts.add(x)
+    return verts
+
+
+def exact_vertex_volume(p) -> float:
+    """Volume by exact vertex enumeration plus Qhull.
+
+    Takes the vertices from ``exact_vertices``, with no tolerance at any
+    scale.  Qhull then takes the volume of their hull, shifted to the exact
+    centroid.  Strict rows count as their closures; an equality row gives
+    0.0.  Exponential in the row count.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    if p.contradictory or any(r.op is Cmp.EQ for r in p.rows):
+        return 0.0
+    verts = exact_vertices(p)
     if len(verts) <= p.n:
         return 0.0
     centroid = [sum(col, start=Fraction(0)) / len(verts) for col in zip(*verts)]

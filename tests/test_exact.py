@@ -14,18 +14,19 @@ from hypothesis import strategies as st
 
 import volcount
 from volcount.bunches import enumerate_bunches
-from volcount.driver import load_formula
+from volcount.driver import load_formula, run
 from volcount.errors import NumericalError, UnboundedError
-from volcount.estimate import round_polytope
-from volcount.exact import _clean_rows, _polygon_area, exact_volume
-from volcount.lp import LpResult, LpStatus, lp_optimize
-from volcount.model import Cmp, SolverConfig, bunch_polytope, make_polytope
+from volcount.estimate import estimate_volume, phase_count, round_polytope
+from volcount.exact import _clean_rows, _polygon_area, _volume_rec, exact_volume
+from volcount.lp import LpResult, LpStatus, chebyshev_center, lp_optimize
+from volcount.model import Backend, Cmp, SolverConfig, bunch_polytope, make_polytope
 
 from oracles import (
     clean_rows_loop,
     cross_polytope,
     cube,
     exact_vertex_volume,
+    exact_vertices,
     hull_volume,
     ineq,
     poly,
@@ -138,7 +139,7 @@ class TestPlanarOracle:
         The base case runs on its own, so no LP error can hide or fail
         it."""
         a, b, _, _ = p.split_arrays()
-        rows = _clean_rows(a, b * 2.0**k, tuple(range(len(b))))
+        rows = _clean_one(a, b * 2.0**k, tuple(range(len(b))))
         got = _polygon_area(rows[0], rows[1]) * 4.0**-k
         assert got == pytest.approx(float(polygon_area_2d(p)), rel=1e-9, abs=1e-9)
 
@@ -219,6 +220,15 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return np.array_equal(x, y) and x.tobytes() == y.tobytes()
 
 
+def _clean_one(a, b, ids):
+    """_clean_rows on one system: its (a, b, ids), or None when no row is
+    left."""
+    ca, cb, src, counts = _clean_rows(a[None], b[None])
+    if counts[0] == 0:
+        return None
+    return ca[0], cb[0], tuple(ids[r] for r in src[0].tolist())
+
+
 _BOX = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
 
 
@@ -228,6 +238,8 @@ _BOX = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
 @example((np.array([[1.0, 1.0], [2.0, 2.0]] + _BOX), np.array([3.0, 4, 1, 1, 1, 1]), (5, 0, 1, 2, 3, 4)))
 # Right-hand sides within 1e-15 after scaling: the earlier row wins.
 @example((np.array([[1.0, 1.0], [2.0, 2.0]] + _BOX), np.array([1, 2 - 1e-15, 1, 1, 1, 1]), (3, 1, 2, 0, 4, 5)))
+# A chain of near ties: the middle row is within 1e-15 of the tightest.
+@example((np.array([[1.0, 0.0]] * 3 + _BOX), np.array([0.0, -0.8e-15, -1.6e-15, 1, 1, 1, 1]), tuple(range(7))))
 # Constant rows, one satisfied and one violated.
 @example((np.array([[0.0, 0.0]] + _BOX), np.array([0.5, 1, 1, 1, 1]), (0, 1, 2, 3, 4)))
 @example((np.array(_BOX + [[0.0, 1e-13]]), np.array([1, 1, 1, 1, -1.0]), (0, 1, 2, 3, 4)))
@@ -238,15 +250,26 @@ _BOX = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
 @example((np.array(_BOX + [[1.0, 0], [2, 0], [1, 1]]), np.array([1, 1, 1, 1, 1, 1, 0.5]), tuple(range(7))))
 @example((np.array(_BOX + [[1.0, 1.0]]), np.array([1, 1, 1, 1, -3.0]), (0, 1, 2, 3, 4)))
 def test_array_kernels_match_loop_references(system):
-    """_clean_rows gives the loop reference's floats bit for bit."""
+    """_clean_rows gives the loop reference's floats bit for bit, and each
+    system of a stack the same rows as on its own."""
     a, b, ids = system
-    got, want = _clean_rows(a, b, ids), clean_rows_loop(a, b, ids)
+    got, want = _clean_one(a, b, ids), clean_rows_loop(a, b, ids)
     if want is None:
         assert got is None
     else:
         assert got is not None
         assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
         assert got[2] == want[2]
+    stack = [(a[::-1], b[::-1]), (a, b), (a, -b)]
+    ca, cb, src, counts = _clean_rows(np.stack([x for x, _ in stack]), np.stack([y for _, y in stack]))
+    for f, (x, y) in enumerate(stack):
+        alone = _clean_one(x, y, tuple(range(len(y))))
+        c = counts[f]
+        if alone is None:
+            assert c == 0
+        else:
+            assert _same_bits(ca[f, :c], alone[0]) and _same_bits(cb[f, :c], alone[1])
+            assert tuple(src[f, :c].tolist()) == alone[2]
 
 
 @st.composite
@@ -337,6 +360,84 @@ class TestHullOracle:
             assert inner * (1 - 1e-9) <= got <= outer * (1 + 1e-9)
 
 
+@st.composite
+def _touching_bodies(draw):
+    """A 3-D box [-lo_j, hi_j] with ends in 1..4, cut by up to five rows
+    with coefficients in -3..3 through one of its corners moved by at most
+    2 (a cut with a zero coefficient through a corner holds a whole edge),
+    some next to their exact negation (a flat pair), and sometimes one row
+    that misses the box (an empty body)."""
+    ends = [draw(st.integers(1, 4)) for _ in range(6)]
+    cuts = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(3)]
+        if all(c == 0 for c in coeffs):
+            coeffs[draw(st.integers(0, 2))] = 1
+        corner = [draw(st.sampled_from([-ends[2 * j + 1], ends[2 * j]])) for j in range(3)]
+        rhs = sum(c * v for c, v in zip(coeffs, corner)) + draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
+        cuts.append((coeffs, rhs))
+        if draw(st.integers(0, 3)) == 0:
+            cuts.append(([-c for c in coeffs], -rhs))
+    if draw(st.integers(0, 5)) == 0:
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(2)] + [1]
+        lowest = -sum(abs(c) * max(ends[2 * j], ends[2 * j + 1]) for j, c in enumerate(coeffs))
+        cuts.append((coeffs, lowest - 1))
+    return _box_and_cuts(ends, cuts)
+
+
+def _solid_volume_scaled(p, k):
+    """The volume recursion alone on p with every right-hand side times
+    2^k, with any emptiness LP an error."""
+    a, b, _, _ = p.split_arrays()
+    rows = _clean_one(a, b * 2.0**k, tuple(range(len(b))))
+    if rows is None:
+        return 0.0
+    with mock.patch.object(volcount.exact, "linprog", side_effect=AssertionError("emptiness LP ran")):
+        return _volume_rec(*rows, frozenset(), tuple(range(p.n)), {}, None)
+
+
+class TestSolidKernel:
+    """The 3-D level measures every face of a body at once, with no
+    emptiness LP."""
+
+    @given(_touching_bodies(), st.integers(-20, 30))
+    @settings(max_examples=150, deadline=None)
+    # Two cuts through the corner (2, 2, 2), one holding the edge x = y = 2.
+    @example(_box_and_cuts([2, 1, 2, 1, 2, 1], [([1, -1, 0], 0), ([1, 1, 1], 6)]), 0)
+    # A flat pair inside the box, far from unit scale.
+    @example(_box_and_cuts([2, 1, 2, 1, 2, 1], [([1, 2, 0], 1), ([-1, -2, 0], -1)]), 30)
+    # A body the cut x + y + z <= -7 misses.
+    @example(_box_and_cuts([2, 1, 2, 1, 2, 1], [([1, 1, 1], -7)]), -20)
+    def test_random_bodies_match_exact_vertices(self, p, k):
+        """Right to rel 1e-9 after unscaling by 8^-k, and exactly 0.0 on an
+        empty body."""
+        got = _solid_volume_scaled(p, k)
+        if not exact_vertices(p):
+            assert got == 0.0
+        else:
+            assert got * 8.0**-k == pytest.approx(exact_vertex_volume(p), rel=1e-9, abs=1e-9)
+
+    def test_prism_over_a_368_row_polygon(self):
+        # Rows p x + q y <= 60 for the 368 primitive (p, q) with |p|, |q| <= 12,
+        # longest first so the exact oracle rejects most row pairs early,
+        # times 0 <= z <= 3.
+        dirs = [(p, q) for p in range(-12, 13) for q in range(-12, 13) if math.gcd(p, q) == 1]
+        dirs.sort(key=lambda d: -(d[0] ** 2 + d[1] ** 2))
+        base = [ineq([p, q], 60) for p, q in dirs]
+        area = polygon_area_2d(poly(base, 2))
+        assert area == Fraction(1200, 23)
+        rows = [ineq([*r.coeffs, 0], r.rhs) for r in base] + [ineq([0, 0, 1], 3), ineq([0, 0, -1], 0)]
+        assert exact_volume(poly(rows, 3)) == pytest.approx(float(3 * area), rel=1e-12)
+
+    def test_cut_cube_fixture(self):
+        # tests/fixtures/cut_cube.vs: [0, 2]^3 cut through four of its edges
+        # and touched at one corner.
+        formula = load_formula(str(Path(__file__).parent / "fixtures" / "cut_cube.vs"))
+        p = poly(list(formula.atom_map.values()), 3)
+        assert exact_vertex_volume(p) == pytest.approx(8 / 3, rel=1e-12)
+        assert exact_volume(p) == pytest.approx(8 / 3, rel=1e-9)
+
+
 class TestDegenerate:
     def test_empty_is_zero(self):
         p = poly([ineq([1], 0), ineq([-1], -1)], 1)  # x <= 0 and x >= 1
@@ -349,10 +450,51 @@ class TestDegenerate:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_diagonal_flat_is_zero(self, n):
         # sum(x) <= 1 and sum(x) >= 1 inside [0, 1]^n.  The Chebyshev radius
-        # comes out as rounding noise (about 5e-17), not zero, so the flat
-        # body reaches the recursion and its emptiness LPs.
+        # comes out as rounding noise (about 5e-17), not zero.
         rows = [ineq([1] * n, 1), ineq([-1] * n, -1)] + _box_rows(n, 0, 1)
         assert exact_volume(poly(rows, n)) == 0.0
+
+    @pytest.mark.parametrize("k", [0, 20, 30])
+    def test_point_with_a_noisy_radius_is_zero(self, k):
+        # The single point (-1, -1) times 2^k.  Its Chebyshev radius reads
+        # 7.7e-17, 8.1e-11 and 8.3e-8: rounding noise against the body's
+        # scale, which an exact test against 0 took for interior.  -P calls
+        # it flat too.
+        p = _point_body(k)
+        assert chebyshev_center(p)[1] > 0.0
+        assert exact_volume(p) == 0.0
+        assert round_polytope(p) is None
+
+    def test_thin_slab_keeps_its_volume(self):
+        # 0 <= x, y <= 1 and 0 <= x + y + z <= 2^-20: a slab of volume 2^-20
+        # whose radius, 2.8e-7, is far above its rounding noise.  -P agrees
+        # to within its usual 15%.
+        t = Fraction(1, 2**20)
+        rows = _box_rows(2, 0, 1)
+        p = poly([ineq([*r.coeffs, 0], r.rhs) for r in rows] + [ineq([1, 1, 1], t), ineq([-1, -1, -1], 0)], 3)
+        assert exact_volume(p) == pytest.approx(float(t), rel=1e-9)
+        q = round_polytope(p)
+        assert estimate_volume(q, 400 * phase_count(q), seed=1).volume == pytest.approx(float(t), rel=0.15)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_thin_body_far_from_the_origin_keeps_its_volume(self, n):
+        # 2^30 <= x and 65536 x <= 2^46 + 1, in [0, 1]^(n-1): 2^-16 thick at
+        # x = 2^30.  Its radius, 7.6e-6, is 8 times its rounding noise but
+        # below 1e-14 of its rows' magnitude, a bound that called it flat.
+        rows = [ineq([-1] + [0] * (n - 1), -(2**30)), ineq([65536] + [0] * (n - 1), 2**46 + 1)]
+        rows += [ineq([0, *r.coeffs], r.rhs) for r in _box_rows(n - 1, 0, 1)]
+        p = poly(rows, n)
+        assert exact_volume(p) == pytest.approx(2.0**-16, rel=1e-9)
+        q = round_polytope(p)
+        assert estimate_volume(q, 400 * phase_count(q), seed=1).volume == pytest.approx(2.0**-16, rel=0.15)
+
+    def test_point_fixture_is_zero_under_both_backends(self):
+        # tests/fixtures/point_2_30.vs is _point_body(30) as a formula.
+        config = SolverConfig(backends=frozenset({Backend.ESTIMATE, Backend.EXACT_VOLUME}), word_length=0)
+        formula = load_formula(str(Path(__file__).parent / "fixtures" / "point_2_30.vs"))
+        assert poly(list(formula.atom_map.values()), 2).rows == _point_body(30).rows
+        report = run(config, formula)
+        assert report.totals == {"estimate": 0.0, "exact_volume": 0.0}
 
     def test_equality_row_is_zero(self):
         rows = [ineq([1, 1], 1, Cmp.EQ), ineq([1, 0], 5), ineq([-1, 0], 5), ineq([0, 1], 5), ineq([0, -1], 5)]
@@ -394,6 +536,13 @@ class TestDegenerate:
         assert exact_volume(poly(extra, 2)) == pytest.approx(4.0, rel=1e-12)
 
 
+def _point_body(k):
+    """x <= 2, -x <= 1, y <= 5, -y <= 6, 3x - 2y <= -1, y <= -1, every
+    right-hand side times 2^k: the single point (-2^k, -2^k)."""
+    rows = [([1, 0], 2), ([-1, 0], 1), ([0, 1], 5), ([0, -1], 6), ([3, -2], -1), ([0, 1], -1)]
+    return poly([ineq(c, r * 2**k) for c, r in rows], 2)
+
+
 def _single_bunch_body(fixture, word_length):
     """The polytope of a fixture's only bunch."""
     config = SolverConfig(word_length=word_length)
@@ -404,21 +553,23 @@ def _single_bunch_body(fixture, word_length):
 
 class TestMemoHits:
     """Bodies entered and emptiness LPs run by one call.  A pair-key miss
-    enters one more body, and a canonical-key miss in dimension 3 or more
+    enters one more body, and a canonical-key miss in dimension 4 or more
     also runs one more LP, so a lookup that stops hitting raises a count.
     A canonical-key hit also covers a body an earlier emptiness LP found
-    empty (find_path1 enters empty bodies under many pairs)."""
+    empty (find_path1 enters empty bodies under many pairs).  A 3-D body is
+    one body: all its faces are measured at once, with no LP."""
 
     @pytest.mark.parametrize(
         "body,bodies,lps",
         [
-            (cube(8), 67, 6),
-            (cross_polytope(5), 288, 29),
-            (simplex(8), 7, 6),
-            (sheared_cube(5, 2), 81, 16),
-            (_single_bunch_body("find_path1.vs", 3), 1801, 291),
+            (cube(3), 1, 0),
+            (cube(8), 61, 5),
+            (cross_polytope(5), 153, 9),
+            (simplex(8), 6, 5),
+            (sheared_cube(5, 2), 41, 6),
+            (_single_bunch_body("find_path1.vs", 3), 1533, 225),
         ],
-        ids=["cube8", "cross5", "simplex8", "S(5,2)", "find_path1-w3"],
+        ids=["cube3", "cube8", "cross5", "simplex8", "S(5,2)", "find_path1-w3"],
     )
     def test_call_counts(self, body, bodies, lps):
         exact = volcount.exact

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BackendError, NumericalError, UnboundedError, check_deadline
-from .lp import FLATNESS_TOL, LpStatus, chebyshev_center, lp_optimize
+from .lp import LpStatus, chebyshev_center, is_flat, lp_optimize
 from .model import Cmp, Polytope
 
 _MASK64 = (1 << 64) - 1
@@ -92,25 +92,25 @@ def round_polytope(p: Polytope, deadline: Optional[float] = None) -> Optional[Ro
     The body is opened by three checks, in the order ``exact_volume`` uses:
 
     1. a contradictory body or any equality row: None, no LP runs;
-    2. the Chebyshev radius rho: None when rho <= 0, which also covers every
-       empty body (rho < 0);
+    2. the Chebyshev ball: None when ``lp.is_flat`` finds its radius rho
+       rounding noise against the body's own scale, the rule
+       ``exact_volume`` uses; this covers every empty body (rho < 0);
     3. the 2n bounding-box LPs: UnboundedError on an unbounded direction, so
        callers must bound variables (word-length box) before estimating.
 
     A body without interior is therefore None (volume 0) even when it is
-    unbounded.  A bounded body thinner than FLATNESS_TOL cannot be rounded
-    and is None too; ``exact_volume`` measures it.  From step 3 on every
+    unbounded.  No absolute scale enters: a body however thin or small is
+    rounded once its radius is above that noise.  From step 3 on every
     failure is an error, never volume 0: a bounding-box LP that does not
     solve, an image that misses the unit ball, or a rounding that does not
     converge within _MAX_CUT_ITERS cuts raises NumericalError.
     """
     if p.contradictory or p.n == 0 or any(row.op is Cmp.EQ for row in p.rows):
         return None
-    _, rho = chebyshev_center(p)
-    if rho <= 0.0:
+    a, b = p.split_arrays()[:2]
+    if is_flat(a, b, *chebyshev_center(p)):
         return None
 
-    a, b = p.split_arrays()[:2]
     n = p.n
     lo = np.empty(n)
     hi = np.empty(n)
@@ -125,24 +125,22 @@ def round_polytope(p: Polytope, deadline: Optional[float] = None) -> Optional[Ro
             raise NumericalError(f"bounding-box LP in x{j + 1} did not solve")
         hi[j] = res_hi.value
         lo[j] = res_lo.value
-    if rho <= FLATNESS_TOL:
-        return None
 
     # The ellipsoid {center + L u : |u| <= 1} starts as the box's enclosing
-    # ball and always contains the body, hence the Chebyshev ball of radius
-    # rho > FLATNESS_TOL: |det L| >= rho^n, so L never becomes singular.
+    # ball and always contains the body, hence its Chebyshev ball, whose
+    # radius rho is above its noise: |det L| >= rho^n, so L never becomes
+    # singular.  The cuts stop once the shrunk copy lies inside every row.
     center = (lo + hi) / 2.0
     factor = np.eye(n) * (float(np.linalg.norm(hi - lo)) / 2.0)
 
     beta = 1.0 / (2.0 * n)
-    norms2 = np.einsum("ij,ij->i", a, a)
     iters = 0
     while True:
         check_deadline(deadline)
         margins = a @ center + beta * np.linalg.norm(a @ factor, axis=1)
         viol = margins - b
         worst = int(np.argmax(viol))
-        if viol[worst] <= 1e-11 * max(1.0, float(np.sqrt(norms2[worst]))):
+        if viol[worst] <= 0.0:
             break
         center, factor = shallow_cut_update(center, factor, a[worst], beta)
         iters += 1

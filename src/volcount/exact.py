@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError, UnboundedError, check_deadline
-from .lp import LpStatus, chebyshev_center, lp_optimize
+from .lp import LpStatus, chebyshev_center, is_flat, lp_optimize
 # The recursion's emptiness LP; perfbench traces it under this name as
 # exact.linprog.
 from .lp import lp_feasible as linprog
@@ -53,9 +53,6 @@ from .model import Cmp, Polytope
 
 _ZERO_TOL = 1e-12
 _CONSTANT_ROW_TOL = 1e-9
-# The rounding noise of one row a_i x <= b_i evaluated at x, in units of
-# (|a_i|_1 |x|_inf + |b_i|): four float64 machine epsilons.
-_ROW_NOISE = 4 * 2.0**-52
 # Parallel rows whose normalized right-hand sides lie within this of the
 # tightest of them are tied with it: the earliest tied row stays.
 _TIE_TOL = 1e-15
@@ -72,12 +69,9 @@ def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
     opened by three checks, in the order ``round_polytope`` uses:
 
     1. a contradictory body or any equality row: 0.0, no LP runs;
-    2. the Chebyshev ball (center c, radius rho): 0.0 when rho is rounding
-       noise against the body's own scale, that is, when the ball's term
-       rho |a_i| in every row is within the rounding noise of that row at
-       c, _ROW_NOISE (|a_i|_1 |c|_inf + |b_i|).  This covers every empty
-       body (rho < 0).  ``round_polytope`` judges rho by an absolute
-       FLATNESS_TOL instead;
+    2. the Chebyshev ball: 0.0 when ``lp.is_flat`` finds its radius rho
+       rounding noise against the body's own scale, the rule
+       ``round_polytope`` uses; this covers every empty body (rho < 0);
     3. the 2n boundedness LPs: UnboundedError on an unbounded direction,
        NumericalError when one neither solves nor finds a ray.
 
@@ -91,10 +85,7 @@ def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
     if any(row.op is Cmp.EQ for row in p.rows):
         return 0.0
     a, b, _, _ = p.split_arrays()
-    center, rho = chebyshev_center(p)
-    noise = _ROW_NOISE * (np.abs(a).sum(axis=1) * np.abs(center).max() + np.abs(b))
-    # With no row the body is the whole space, for the boundedness LPs.
-    if len(b) and np.all(rho * np.linalg.norm(a, axis=1) <= noise):
+    if is_flat(a, b, *chebyshev_center(p)):
         return 0.0
 
     for j in range(p.n):

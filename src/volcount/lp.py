@@ -55,7 +55,9 @@ from .model import Polytope
 FEAS_TOL = 1e-7
 REL_TOL = 1e-14
 PIVOT_TOL = 1e-9
-FLATNESS_TOL = 1e-7
+# The rounding noise of one row a_i x <= b_i evaluated at x, in units of
+# (|a_i|_1 |x|_inf + |b_i|): four float64 machine epsilons.
+ROW_NOISE = 4 * 2.0**-52
 
 
 class LpStatus(Enum):
@@ -314,6 +316,19 @@ def chebyshev_center(p: Polytope) -> tuple[np.ndarray, float]:
     if res.status is not LpStatus.OPTIMAL:
         raise NumericalError("Chebyshev LP did not solve")
     return res.point[: p.n], float(res.point[p.n])
+
+
+def is_flat(a: np.ndarray, b: np.ndarray, center: np.ndarray, rho: float) -> bool:
+    """Whether the Chebyshev ball (center, rho) of {a x <= b} shows no
+    interior: the ball's term rho |a_i| in every row is within the rounding
+    noise of that row at the center, ROW_NOISE (|a_i|_1 |c|_inf + |b_i|).
+
+    The rule is relative to the body's own scale, so a body keeps its
+    verdict when it is scaled.  Every empty body (rho < 0) is flat.  With
+    no row the body is the whole space, which is not flat.
+    """
+    noise = ROW_NOISE * (np.abs(a).sum(axis=1) * np.abs(center).max(initial=0.0) + np.abs(b))
+    return len(b) > 0 and bool(np.all(rho * np.linalg.norm(a, axis=1) <= noise))
 
 
 def integer_bounds(p: Polytope, j: int) -> Optional[tuple[int, int]]:

@@ -161,8 +161,13 @@ class TestBackendAgreement:
             "(= x y)",
             "(and (<= (- x y) 0) (>= (- x y) 0))",
             "(and (= x y) (<= 0 x) (<= x 1))",
+            # The point (-2^31, 2^31): its Chebyshev radius is rounding
+            # noise at that scale, not zero.
+            "(and (<= x 3221225472) (<= (- x) 3221225472) (<= y 2147483648)"
+            " (<= (- y) 5368709120) (<= (- (* (- 3) x) y) 4294967296)"
+            " (<= (+ (* 2 x) y) 3221225472) (<= x (- 2147483648)))",
         ],
-        ids=["getop_path2", "equality-unbounded", "flat-unbounded", "equality-bounded"],
+        ids=["getop_path2", "equality-unbounded", "flat-unbounded", "equality-bounded", "point-2^31"],
     )
     def test_no_interior_is_zero_under_both(self, tmp_path, capsys, assertion):
         path = FIXTURES / "getop_path2.smt2"
@@ -177,8 +182,9 @@ class TestBackendAgreement:
         "text",
         [
             "(set-logic QF_LRA)\n(declare-fun x () Real)\n(assert (<= x 5))\n",
-            # Chebyshev radius about 3.5e-8, below FLATNESS_TOL, yet the slab
-            # has interior: -P must not read it as flat.
+            # Chebyshev radius about 3.5e-8, far above the rounding noise of
+            # its rows: the slab has interior, so neither backend reads it
+            # as flat.
             f"{_REAL_XY}(assert (and (<= 0 (- x y)) (<= (- x y) 0.0000001)))\n",
         ],
         ids=["half-line", "thin-slab"],

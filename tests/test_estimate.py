@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -22,7 +22,7 @@ from volcount.estimate import (
     unit_ball_log_volume,
 )
 from volcount.exact import exact_volume
-from volcount.lp import FLATNESS_TOL, LpResult, LpStatus, chebyshev_center, lp_optimize
+from volcount.lp import LpResult, LpStatus, chebyshev_center, lp_optimize
 from volcount.model import Cmp, make_polytope
 
 from oracles import ball_volume, explicit_shallow_cut, ineq, poly, sheared_cube
@@ -38,6 +38,16 @@ def box_poly(bounds):
         rows.append(ineq(e, Fraction(hi)))
         rows.append(ineq([-c for c in e], -Fraction(lo)))
     return poly(rows, n)
+
+
+def scaled_simplex(n, s):
+    """The simplex x >= 0, sum(x) <= s, of volume s^n / n!."""
+    rows = []
+    for i in range(n):
+        e = [0] * n
+        e[i] = -1
+        rows.append(ineq(e, 0))
+    return poly(rows + [ineq([1] * n, s)], n)
 
 
 def ball_shaped(n, log_radius_numer):
@@ -141,7 +151,7 @@ class TestShallowCut:
             worst = int(np.argmax(a @ center + beta * np.sqrt(np.einsum("ij,jk,ik->i", a, shape, a)) - b))
             f_viol = a @ f_center + beta * np.linalg.norm(a @ factor, axis=1) - b
             assert int(np.argmax(f_viol)) == worst
-            if f_viol[worst] <= 1e-11 * max(1.0, float(np.linalg.norm(a[worst]))):
+            if f_viol[worst] <= 0.0:
                 break
             center, shape = explicit_shallow_cut(center, shape, a[worst], beta)
             f_center, factor = shallow_cut_update(f_center, factor, a[worst], beta)
@@ -164,9 +174,24 @@ class TestRounding:
         vol_q = exact_volume(poly(rows, 2))
         assert vol_q * math.exp(q.log_scale) == pytest.approx(4.0, rel=1e-6)
 
-    def test_flat_returns_none(self):
-        p = box_poly([(0, 1), (0, Fraction(1, 10**9))])
-        assert round_polytope(p) is None
+    @pytest.mark.parametrize(
+        "p, want",
+        [
+            (box_poly([(0, 1)] * (n - 1) + [(0, t)]), float(t))
+            for n in (2, 5)
+            for t in (Fraction(1, 10**9), Fraction(1, 10**14))
+        ]
+        + [(scaled_simplex(6, Fraction(1, 2**30)), 2.0**-180 / math.factorial(6))],
+        ids=["box2-1e-9", "box2-1e-14", "box5-1e-9", "box5-1e-14", "simplex6-2^-30"],
+    )
+    def test_thin_and_tiny_bodies_are_rounded(self, p, want):
+        # No absolute scale decides flatness or ends the cuts: a slab
+        # 1e-14 thick and a simplex 2^-30 wide are rounded and estimated
+        # like their unit-scale copies.
+        q = round_polytope(p)
+        assert q is not None
+        result = estimate_volume(q, 400 * phase_count(q), seed=1)
+        assert result.volume == pytest.approx(want, rel=0.15)
 
     def test_empty_returns_none(self):
         p = poly([ineq([1, 0], 0), ineq([-1, 0], -1), ineq([0, 1], 1), ineq([0, -1], 1)], 2)
@@ -253,6 +278,17 @@ class TestAgreementWithExact:
     @example(rows=[((1, -1, 0), 0, Cmp.EQ)], n=2)  # x = y: flat and unbounded
     @example(rows=[((1, -1, 0), 0, Cmp.LE), ((-1, 1, 0), 0, Cmp.LE)], n=2)
     @example(rows=[((1, -1, 0), _THIN, Cmp.LE), ((-1, 1, 0), 0, Cmp.LE)], n=2)
+    # The thin slab bounded by |x| <= 1: volume 2e-7 under -V, so -P must
+    # round it.
+    @example(
+        rows=[
+            ((1, -1, 0), _THIN, Cmp.LE),
+            ((-1, 1, 0), 0, Cmp.LE),
+            ((1, 0, 0), 1, Cmp.LE),
+            ((-1, 0, 0), 1, Cmp.LE),
+        ],
+        n=2,
+    )
     @settings(max_examples=150, deadline=None)
     def test_same_outcome_on_small_bodies(self, rows, n):
         p = make_polytope([ineq(coeffs[:n], rhs, op) for coeffs, rhs, op in rows], n)
@@ -261,18 +297,24 @@ class TestAgreementWithExact:
         if isinstance(volume, str):
             assert rounded == volume
             return
-        if not p.contradictory and all(row.op is not Cmp.EQ for row in p.rows):
-            # Bounded bodies thinner than FLATNESS_TOL are None under -P by
-            # design and measured under -V.
-            assume(not 0.0 < chebyshev_center(p)[1] <= FLATNESS_TOL)
         assert not isinstance(rounded, str)
         assert (rounded is None) == (volume == 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("e", range(10, 22))
+    def test_same_outcome_on_slabs_far_from_the_origin(self, n, e):
+        # 2^30 <= x <= 2^30 + 2^-e in [0, 1]^(n-1): from e = 19 on the
+        # width is within the rounding noise of the rows at 2^30, and both
+        # backends call the slab flat; below that both measure it.
+        p = box_poly([(2**30, 2**30 + Fraction(1, 2**e))] + [(0, 1)] * (n - 1))
+        assert (round_polytope(p) is None) == (exact_volume(p) == 0.0)
+
     def test_thin_unbounded_slab_is_unbounded_under_both(self):
-        # 0 <= x - y <= 1e-7 has Chebyshev radius about 3.5e-8, inside
-        # (0, FLATNESS_TOL]: it has interior, so neither backend calls it flat.
+        # 0 <= x - y <= 1e-7 has Chebyshev radius about 3.5e-8, well above
+        # the rounding noise of its rows: it has interior, so neither
+        # backend calls it flat.
         p = poly([ineq([1, -1], _THIN), ineq([-1, 1], 0)], 2)
-        assert 0.0 < chebyshev_center(p)[1] <= FLATNESS_TOL
+        assert 0.0 < chebyshev_center(p)[1] < float(_THIN)
         for backend in (round_polytope, exact_volume):
             with pytest.raises(UnboundedError, match="unbounded in x1"):
                 backend(p)

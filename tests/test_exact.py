@@ -157,19 +157,23 @@ class TestPlanarOracle:
     # LP did not solve", and "LP solution violates constraints by 3.81e-06".
     @example(_polygon([4, 6, 5, 4], [(1, 0, -1), (0, 1, 2), (-3, -2, -1)]), 31)
     @example(_polygon([4, 4, 4, 4], [(-3, -2, -1), (2, -1, 9)]), 31)
+    # Zero-area bodies whose Chebyshev radius an absolute flatness test
+    # misses: a segment that rounded to log_scale = -inf, and the point
+    # (-2^31, 2^31), whose image "missed the unit ball".
+    @example(_polygon([3, 1, 5, 5], [(0, -1, -1), (-1, 3, 0)]), 30)
+    @example(_polygon([3, 3, 2, 5], [(-3, -1, 4), (2, 1, 3), (1, 0, -2)]), 30)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_polygons_near_2_31_through_the_lps(self, p, k):
         """Every right-hand side times 2^30 or 2^31, through the Chebyshev
         and bounding-box LPs of both ``exact_volume`` and ``round_polytope``.
         The area comes out right, to the tolerance of the unscaled test
-        above, and every body with interior is rounded.  Bodies without
-        interior are left out of the rounding check: their Chebyshev radius
-        is rounding noise, up to about 5e-7 at this scale, which the
-        absolute FLATNESS_TOL does not always catch."""
+        above, and the two backends call the same bodies flat: their one
+        rule judges the Chebyshev radius against the rounding noise of the
+        rows at this scale, up to about 5e-7."""
         big = poly([ineq(r.coeffs, r.rhs * 2**k) for r in p.rows], 2)
         want = polygon_area_2d(p)
         assert exact_volume(big) * 4.0**-k == pytest.approx(float(want), rel=1e-9, abs=1e-9)
-        if want > 0:
-            assert round_polytope(big) is not None
+        assert (round_polytope(big) is None) == (want == 0)
 
     def test_wide_polygon_fixture(self):
         # tests/fixtures/wide_polygon.vs: a pentagon reaching 2^33 from the

@@ -31,6 +31,14 @@ exact in IEEE arithmetic).  A facet pivots on that entry, so the factor
 b_i / |a_i,piv| by which the facet's projected volume enters the sum is b_i
 itself.
 
+Cleaning a face decides by exact comparisons: a row is constant only when
+its coefficients are all exactly 0.0, and violated only when its
+right-hand side is then below 0.0; of parallel rows the tightest stays,
+the earliest on an exact tie.  Only the direction is read to 12 decimals:
+one line can reach a planar face along two substitution paths, as two
+rows whose floats differ in the last bits, and the planar identity would
+split their edges where that noise puts the crossing.
+
 Each body of dimension 4 and up first checks that it is nonempty with one
 feasibility LP on the built-in simplex of ``lp.py``.  The 3-D level and the
 planar and 1-D bodies need no LP: every edge lies in its body, so every
@@ -51,11 +59,6 @@ from .lp import LpStatus, chebyshev_center, is_flat, lp_optimize
 from .lp import lp_feasible as linprog
 from .model import Cmp, Polytope
 
-_ZERO_TOL = 1e-12
-_CONSTANT_ROW_TOL = 1e-9
-# Parallel rows whose normalized right-hand sides lie within this of the
-# tightest of them are tied with it: the earliest tied row stays.
-_TIE_TOL = 1e-15
 # Entries one block of the 3-D level may hold: faces x rows while its faces
 # are built, faces x rows x rows while they are measured.  A block holds at
 # least one face.
@@ -113,32 +116,32 @@ def _clean_rows(a: np.ndarray, b: np.ndarray):
     src[f, :counts[f]]; copies of its first row pad it to the longest.  A
     violated constant row leaves its system no row.
 
-    Of the rows that share a direction after normalization exactly one
-    stays, in the place of the first of them: the tightest, or the earliest
-    of those within _TIE_TOL of the tightest.  So rows that float noise
-    leaves tied give one edge, never two or none.  The winner keeps its own
-    id: ids name original hyperplanes in the memo, so a merged row must not
-    masquerade as the looser plane it displaced."""
+    A row is constant when its largest |a_ij| is exactly 0.0, and violated
+    when its right-hand side is then below 0.0.  Rows share a direction
+    when their normalized coefficients agree to 12 decimals, and of those
+    exactly one stays, in the place of the first of them: the tightest, or
+    the earliest of the rows exactly tied for tightest.  The winner keeps
+    its own id: ids name original hyperplanes in the memo, so a merged row
+    must not masquerade as the looser plane it displaced."""
     k, m, n = a.shape
     scales = np.abs(a).max(axis=2)
-    constant = scales < _ZERO_TOL
-    violated = np.any(constant & (b < -_CONSTANT_ROW_TOL), axis=1)
+    constant = scales == 0.0
+    violated = np.any(constant & (b < 0.0), axis=1)
     # Flat indices of the rows left, in system and then row order.
     idx = np.flatnonzero(~(constant | violated[:, None]))
     rows = a.reshape(-1, n)[idx] / scales.ravel()[idx, None]
     rhs = b.ravel()[idx] / scales.ravel()[idx]
     system = idx // m
-    keys = np.round(rows, 12) + 0.0  # drop negative zeros
+    keys = np.round(rows, 12)
     # Sorted by system, direction and right-hand side (stably, so rows tied
     # exactly stay in row order), each run of one system and one direction
-    # is a group.
+    # is a group, and its first row is the winner.
     order = np.lexsort((rhs, *keys.T, system))
     system_s, keys_s = system[order], keys[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (system_s[1:] != system_s[:-1]) | np.any(keys_s[1:] != keys_s[:-1], axis=1)
     starts = np.flatnonzero(new)
-    tied = rhs[order] <= rhs[order[starts]][np.cumsum(new) - 1] + _TIE_TOL
-    winner = np.minimum.reduceat(np.where(tied, order, len(order)), starts)
+    winner = order[starts]
     first = np.minimum.reduceat(order, starts)
     by_first = np.argsort(first)
     winner, at = winner[by_first], system_s[starts[by_first]]
@@ -308,15 +311,16 @@ def _polygon_area(a: np.ndarray, b: np.ndarray, weight: Optional[np.ndarray] = N
 
 def _interval_widths(slope: np.ndarray, room: np.ndarray) -> np.ndarray:
     """Width of the interval of t with t * slope[..., k, j] <= room[..., k, j]
-    for every j, one per k, 0.0 when the interval is empty.  A j with
-    |slope| < _ZERO_TOL bounds nothing, but empties the interval when its
-    room is negative."""
-    up = slope > _ZERO_TOL
-    down = slope < -_ZERO_TOL
+    for every j, one per k, 0.0 when the interval is empty.  Slopes split
+    by exact sign: a positive one bounds t above, a negative one below, and
+    a j whose slope is exactly 0.0 bounds nothing, but empties the interval
+    when its room is negative."""
+    up = slope > 0.0
+    down = slope < 0.0
     ratio = np.divide(room, slope, out=np.zeros_like(room), where=up | down)
     hi = ratio.min(axis=-1, where=up, initial=np.inf)
     lo = ratio.max(axis=-1, where=down, initial=-np.inf)
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise NumericalError("unbounded face in volume recursion")
-    blocked = np.any((room < 0.0) & ~(up | down), axis=-1)
+    blocked = np.any((room < 0.0) & (slope == 0.0), axis=-1)
     return np.where(blocked, 0.0, np.maximum(hi - lo, 0.0))

@@ -14,7 +14,6 @@ import numpy as np
 
 from volcount.bunches import SUPPORT_TOL, TheoryRows, minimize_assignment, theory_check
 from volcount.errors import NumericalError
-from volcount.exact import _CONSTANT_ROW_TOL, _ZERO_TOL
 from volcount.lp import LpStatus, lp_feasible
 from volcount.model import (
     Bunch,
@@ -153,14 +152,15 @@ def polygon_area_2d(p: Polytope) -> Fraction:
 def clean_rows_loop(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
     """Row-by-row reference for ``exact._clean_rows`` on one system:
     normalize by the largest coefficient, drop constant rows (None if one is
-    violated or no row is left), and keep one row per direction, in the
-    place of the first: the tightest, or the earliest within 1e-15 of it."""
+    violated or no row is left), and keep one row per direction (to 12
+    decimals), in the place of the first: the tightest, or the earliest of
+    the rows exactly tied for tightest."""
     groups: dict[tuple, list[tuple[float, int, np.ndarray]]] = {}
     for i in range(a.shape[0]):
         row = a[i]
         scale = float(np.max(np.abs(row)))
-        if scale < _ZERO_TOL:
-            if b[i] < -_CONSTANT_ROW_TOL:
+        if scale == 0.0:
+            if b[i] < 0.0:
                 return None
             continue
         nrow = row / scale
@@ -171,7 +171,7 @@ def clean_rows_loop(a: np.ndarray, b: np.ndarray, ids: tuple[int, ...]):
     kept = []
     for group in groups.values():
         tightest = min(nb for nb, _, _ in group)
-        kept.append(next(g for g in group if g[0] <= tightest + 1e-15))
+        kept.append(next(g for g in group if g[0] == tightest))
     a_out = np.array([nrow for _, _, nrow in kept])
     b_out = np.array([nb for nb, _, _ in kept])
     ids_out = tuple(i for _, i, _ in kept)

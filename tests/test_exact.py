@@ -195,8 +195,9 @@ class TestPlanarOracle:
 def _row_systems(draw):
     """(a, b, ids): rows drawn from a few directions at mixed scales, so
     parallel and coincident rows are common, right-hand sides nudged by
-    less than 1e-15, coefficients nudged by 1e-14, and constant rows (zero
-    or below the 1e-12 scale cut-off) that hold or fail."""
+    less than 1e-15 (the tighter float wins), coefficients nudged by 1e-14
+    (below the direction key's 12 decimals), zero rows that hold or fail,
+    and rows whose largest coefficient is 1e-13, which are not constant."""
     n = draw(st.integers(2, 4))
     directions = draw(
         st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4)
@@ -210,7 +211,8 @@ def _row_systems(draw):
             continue
         scale = draw(st.sampled_from([1.0, 2.0, 0.5, 3.0, 1e-3, 2.0**20]))
         row = [c * scale for c in draw(st.sampled_from(directions))]
-        # A residue far below the 1e-12 key rounding, which can round to -0.0.
+        # A residue far below the 12-decimal direction key, which can round
+        # to -0.0.
         row[0] += draw(st.sampled_from([0.0, 0.0, 1e-14, -1e-14]))
         rows.append(row)
         c = draw(st.integers(-6, 6)) / draw(st.sampled_from([1, 2, 3, 7]))
@@ -240,11 +242,12 @@ _BOX = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
 @settings(max_examples=300, deadline=None)
 # 2x + 2y <= 4 next to x + y <= 3: the later, larger-scale row is tighter.
 @example((np.array([[1.0, 1.0], [2.0, 2.0]] + _BOX), np.array([3.0, 4, 1, 1, 1, 1]), (5, 0, 1, 2, 3, 4)))
-# Right-hand sides within 1e-15 after scaling: the earlier row wins.
+# Right-hand sides 1e-15 apart after scaling: the tighter row wins.
 @example((np.array([[1.0, 1.0], [2.0, 2.0]] + _BOX), np.array([1, 2 - 1e-15, 1, 1, 1, 1]), (3, 1, 2, 0, 4, 5)))
-# A chain of near ties: the middle row is within 1e-15 of the tightest.
+# A chain of near ties 0.8e-15 apart: the tightest row wins.
 @example((np.array([[1.0, 0.0]] * 3 + _BOX), np.array([0.0, -0.8e-15, -1.6e-15, 1, 1, 1, 1]), tuple(range(7))))
-# Constant rows, one satisfied and one violated.
+# A constant row that holds, and a row of scale 1e-13 that is not constant
+# and leaves the body empty.
 @example((np.array([[0.0, 0.0]] + _BOX), np.array([0.5, 1, 1, 1, 1]), (0, 1, 2, 3, 4)))
 @example((np.array(_BOX + [[0.0, 1e-13]]), np.array([1, 1, 1, 1, -1.0]), (0, 1, 2, 3, 4)))
 # All rows constant, and no rows at all.
@@ -331,6 +334,23 @@ class TestHullOracle:
             [([3, 1, 2, 0], -1), ([-2, -3, -2, 1], 4), ([2, 3, -2, -1], 4)],
         )
     )
+    # Planar faces of this 5-D body hold one line twice, reached along two
+    # substitution paths, as rows whose floats differ in the last bits.
+    # Told apart by exact comparison, each pair's edges are split where that
+    # noise puts the crossing, and the total reads 714.0514 for 713.9356;
+    # the 12-decimal direction key merges each pair.
+    @example(
+        _box_and_cuts(
+            [3, 4, 3, 1, 3, 3, 4, 1, 3, 1],
+            [
+                ([0, -3, 1, -2, 3], 7),
+                ([2, 2, 2, -1, 0], 3),
+                ([3, -2, -3, -3, 1], 6),
+                ([1, 1, -2, -2, -1], -2),
+                ([-3, -2, -3, 2, -3], 4),
+            ],
+        )
+    )
     def test_random_bodies_match_hull(self, p):
         want = hull_volume(p)
         got = exact_volume(p)
@@ -362,6 +382,22 @@ class TestHullOracle:
             inner = exact_vertex_volume(_moved(p, -1e-14))
             outer = exact_vertex_volume(_moved(p, 1e-14))
             assert inner * (1 - 1e-9) <= got <= outer * (1 + 1e-9)
+
+    # At k = -31..-29 some face's substitution leaves a constant row that is
+    # violated by less than 1e-9; an absolute cut-off kept that face, and the
+    # total came out rel 5.4e-4 high.  k = -40 is absent: there the body's
+    # whole scale lies below the simplex's absolute tolerances, and the
+    # Chebyshev LP raises "LP solution violates constraints" (ROADMAP item 1).
+    @pytest.mark.parametrize("k", [-31, -30, -29, 0, 30])
+    def test_scaled_5d_box_matches_exact_vertices(self, k):
+        box = [4, 4, 3, 2, 1, 2, 1, 2, 4, 3]
+        cuts = [([0, -2, -3, 2, 0], 4), ([0, 2, -1, 3, -2], 2), ([2, 0, 1, 0, 3], 2)]
+        p = _box_and_cuts(box, cuts)
+        scale = Fraction(2) ** k
+        scaled = _box_and_cuts([end * scale for end in box], [(c, rhs * scale) for c, rhs in cuts])
+        # Unscaled by the exact power of two, so the default absolute
+        # tolerance of approx cannot swallow a value near 1e-44.
+        assert exact_volume(scaled) * 2.0 ** (-5 * k) == pytest.approx(exact_vertex_volume(p), rel=1e-9)
 
 
 @st.composite

@@ -5,16 +5,22 @@ Applying the divergence theorem to the vector field x on a polytope
 
     n * vol(P) = sum_i  (b_i / |a_i|) * vol_{n-1}(P  intersect  {a_i x = b_i})
 
-with signed distances, so the identity holds wherever the origin sits.  Each
-facet measure is a lower-dimensional polytope volume after substituting out
-one variable.  The recursion runs down to edges: a planar body takes the
-identity once more, with each edge measured as an interval along its line,
-and a 1-D body is one such interval.  Faces are built by substitution and
-cleaned on a leading face axis, by one routine at every level.  A 3-D body
-builds and measures all its faces in one pass: the planar identity takes
-that axis too, so planar bodies and the faces of 3-D bodies share one
-formula.  The faces go in blocks that hold at most _FACE_BLOCK entries.  No
-vertex is ever enumerated.
+with signed distances, so the identity holds wherever the origin sits.
+Where the origin lies outside the body, though, the weights b_i take both
+signs and large terms cancel.  ``exact_volume`` then moves the origin to
+the body's Chebyshev center first, replacing b by b - A c in rational
+arithmetic before the rows go to float, so every weight of the top level
+is at least 0.
+
+Each facet measure is a lower-dimensional polytope volume after
+substituting out one variable.  The recursion runs down to edges: a planar
+body takes the identity once more, with each edge measured as an interval
+along its line, and a 1-D body is one such interval.  Faces are built by
+substitution and cleaned on a leading face axis, by one routine at every
+level.  A 3-D body builds and measures all its faces in one pass: the
+planar identity takes that axis too, so planar bodies and the faces of 3-D
+bodies share one formula.  The faces go in blocks that hold at most
+_FACE_BLOCK entries.  No vertex is ever enumerated.
 
 Bodies of dimension 4 and up are memoized on (rows used as equations,
 variables left): Gaussian elimination steps on distinct pivots commute, so
@@ -48,6 +54,7 @@ lower-dimensional, so it adds zero to the sum.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -88,7 +95,8 @@ def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
     if any(row.op is Cmp.EQ for row in p.rows):
         return 0.0
     a, b, _, _ = p.split_arrays()
-    if is_flat(a, b, *chebyshev_center(p)):
+    center, rho = chebyshev_center(p)
+    if is_flat(a, b, center, rho):
         return 0.0
 
     for j in range(p.n):
@@ -101,6 +109,14 @@ def exact_volume(p: Polytope, deadline: Optional[float] = None) -> float:
         if hi.status is not LpStatus.OPTIMAL or lo.status is not LpStatus.OPTIMAL:
             raise NumericalError(f"bounding-box LP in x{j + 1} did not solve")
 
+    # With the origin outside the body, the recursion sums about the
+    # Chebyshev center instead: each b_i - a_i . c is exact in rationals (a
+    # float is an exact Fraction) and rounded once.  With the origin inside
+    # or on the boundary every weight is already at least 0, and faces
+    # through it stay free.
+    if np.any(b < 0.0):
+        shift = [Fraction(float(x)) for x in center]
+        b = np.array([float(row.rhs - sum(k * x for k, x in zip(row.coeffs, shift) if k)) for row in p.rows])
     a, b, src, counts = _clean_rows(a[None], b[None])
     if counts[0] == 0:
         return 0.0

@@ -1,9 +1,12 @@
 """Dense two-phase simplex over free variables, plus polytope-level helpers.
 
 Variables are unrestricted in sign (split into positive/negative parts
-internally).  Determinism matters more than speed here: pivoting is Dantzig
-with a Bland fallback after an iteration threshold, ratio-test ties break
-toward the smallest basis column, and everything is plain numpy float64.
+internally).  Determinism matters more than speed here, and everything is
+plain numpy float64.  Pivoting follows Bland's rule throughout: the
+lowest-index column whose reduced cost is below -PIVOT_TOL enters, and among
+the rows whose ratio equals the minimum exactly, the one with the smallest
+basic column leaves.  The rule cannot cycle, so the iteration cap only
+guards against float noise.
 
 Each row is scaled by its largest coefficient max|a| before pivoting (a
 zero row keeps scale 1).  The right-hand side does not enter the scale, so
@@ -137,37 +140,31 @@ def simplex_max(
     obj[:n] = c
     obj[n : 2 * n] = -c
 
-    limit = max(500, 60 * (m + n_cols))
+    max_iters = 4 * max(500, 60 * (m + n_cols))
 
     def run_phase(zrow: np.ndarray, zval: float, allowed: int) -> tuple[float, np.ndarray]:
-        """Pivot to optimality; return the objective and the final reduced
-        costs (math.inf for the objective when unbounded)."""
-        iters = 0
-        mode_bland = False
-        while True:
+        """Pivot to optimality by Bland's rule; return the objective and the
+        final reduced costs (math.inf for the objective when unbounded).
+
+        The entering column is the lowest-index one with reduced cost below
+        -PIVOT_TOL.  The leaving row is, among the rows whose ratio equals
+        the minimum exactly, the one with the smallest basic column."""
+        for _ in range(max_iters):
             cand = np.where(zrow[:allowed] < -PIVOT_TOL)[0]
             if cand.size == 0:
                 return zval, zrow
-            if mode_bland:
-                j = int(cand[0])
-            else:
-                j = int(cand[np.argmin(zrow[cand])])
+            j = int(cand[0])
             col = tab[:, j]
             pos = np.where(col > PIVOT_TOL)[0]
             if pos.size == 0:
                 return math.inf, zrow
             ratios = tab[pos, n_cols] / col[pos]
-            best = ratios.min()
-            ties = pos[ratios <= best + 1e-12]
+            ties = pos[ratios == ratios.min()]
             r = int(ties[np.argmin([basis[t] for t in ties])])
             _pivot(tab, basis, r, j)
             zval -= zrow[j] * tab[r, n_cols]
             zrow = zrow - zrow[j] * tab[r, : n_cols + 1][:n_cols]
-            iters += 1
-            if not mode_bland and iters > limit:
-                mode_bland = True
-            if iters > 4 * limit:
-                raise NumericalError("simplex failed to converge")
+        raise NumericalError("simplex failed to converge")
 
     # Phase 1: drive artificials to zero.  Only rows that start on their
     # artificial carry phase-1 cost in the starting basis.
@@ -197,7 +194,7 @@ def simplex_max(
     for i in range(m):
         if basis[i] >= n_struct:
             row = tab[i, :n_struct]
-            nz = np.where(np.abs(row) > 1e-8)[0]
+            nz = np.where(np.abs(row) > PIVOT_TOL)[0]
             if nz.size == 0:
                 keep[i] = False
                 continue

@@ -155,9 +155,12 @@ class TestBackendAgreement:
     body without interior is 0 under both, bounded or not."""
 
     @pytest.mark.parametrize(
-        "assertion",
+        "body",
         [
-            None,  # the getop_path2 fixture: every bunch is flat and unbounded
+            "getop_path2.smt2",  # every bunch is flat and unbounded
+            # A diagonal segment 2^-40 long: the Chebyshev LP's ratios differ
+            # by less than 2^-40, and only exact ties keep its radius at 0.
+            "segment_2_40.vs",
             "(= x y)",
             "(and (<= (- x y) 0) (>= (- x y) 0))",
             "(and (= x y) (<= 0 x) (<= x 1))",
@@ -167,13 +170,21 @@ class TestBackendAgreement:
             " (<= (- y) 5368709120) (<= (- (* (- 3) x) y) 4294967296)"
             " (<= (+ (* 2 x) y) 3221225472) (<= x (- 2147483648)))",
         ],
-        ids=["getop_path2", "equality-unbounded", "flat-unbounded", "equality-bounded", "point-2^31"],
+        ids=[
+            "getop_path2",
+            "segment-2^-40",
+            "equality-unbounded",
+            "flat-unbounded",
+            "equality-bounded",
+            "point-2^31",
+        ],
     )
-    def test_no_interior_is_zero_under_both(self, tmp_path, capsys, assertion):
-        path = FIXTURES / "getop_path2.smt2"
-        if assertion is not None:
+    def test_no_interior_is_zero_under_both(self, tmp_path, capsys, body):
+        """``body`` names a fixture or is an assertion over real x, y."""
+        path = FIXTURES / body
+        if body.startswith("("):
             path = tmp_path / "body.smt2"
-            path.write_text(f"{_REAL_XY}(assert {assertion})\n")
+            path.write_text(f"{_REAL_XY}(assert {body})\n")
         assert main(["-P", "-V", "-w=0", "--json", str(path)]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["totals"] == {"estimate": 0.0, "exact_volume": 0.0}

@@ -373,6 +373,23 @@ class TestHullOracle:
     # A slab 2/3 thick at z = -89478485: the float64 rhs of 3z <= -2^28 is
     # off by 5e-9, so no float computation gets within rel 1e-9.
     @example(_box_and_cuts([1, 1, 1, 1, 1, 89478486], [([0, 0, 3], -(2**28))]))
+    # Two slivers far outside the origin.  Summed about the origin, their
+    # weights b_i near 2^30 amplify each level's rounding noise, and the
+    # totals read 313174698.67 for the prism's 268435456.5 and 3.66e19 for
+    # the 4-D body's 363.12; about the Chebyshev center both are right to
+    # rel 1e-15.
+    @example(_box_and_cuts([2**28, 2**28 + 1, 2**28, 2**28, 2**28, 2**28 + 1], [([0, 1, 1], -(2**29))]))
+    @example(
+        _box_and_cuts(
+            [2**28, 2**28, 1342177335, 2**28, 2**28, 1603718404, 785940969, 1670851701],
+            [
+                ([-2, -2, -3, -1], 0),
+                ([3, -2, 0, -2], -(2**29)),
+                ([-1, 3, 2, 3], 0),
+                ([1, 1, 3, -3], 5 * 2**28),
+            ],
+        )
+    )
     def test_bodies_near_2_31_match_exact_vertices(self, p):
         """Right to rel 1e-9 or, where rounding the rows to float64 moves
         the volume by more than that, between the exact volumes of the body

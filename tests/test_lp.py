@@ -1,4 +1,7 @@
 """Two-phase simplex and the polytope-level LP helpers."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +21,7 @@ from volcount.lp import (
 )
 from volcount.model import Cmp, SolverConfig, make_polytope
 
-from oracles import cube, ineq, poly
+from oracles import cube, ineq, poly, row_holds, sheared_cube
 
 
 class TestSimplexMax:
@@ -81,7 +84,7 @@ class TestSimplexMax:
         assert res.value == pytest.approx(2.0, abs=1e-9)
 
     def test_degenerate_does_not_cycle(self):
-        # classic cycling-prone instance (Beale); Bland fallback must save it
+        # classic cycling-prone instance (Beale); Bland's rule cannot cycle on it
         a = np.array(
             [
                 [0.25, -8.0, -1.0, 9.0],
@@ -223,6 +226,30 @@ class TestPolytopeHelpers:
         # max(1, 5 / 1) = 5, and the caller's probe reports the ray.
         _, rho = chebyshev_center(poly([ineq([1], 5)], 1))
         assert rho == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [0, 20, 36, 40, 44, 48])
+    def test_chebyshev_tiny_triangle(self, k):
+        # [0, t]^2 cut by x + y <= t: the ball touches x = 0, y = 0 and the
+        # diagonal, so rho = t / (2 + sqrt 2).  Ratios that differ by less
+        # than t are not ties.
+        t = Fraction(1, 2**k)
+        rows = [([-1, 0], 0), ([1, 0], t), ([0, -1], 0), ([0, 1], t), ([1, 1], t)]
+        _, rho = chebyshev_center(poly([ineq(*row) for row in rows], 2))
+        assert rho == pytest.approx(float(t) / (2 + math.sqrt(2)), rel=1e-9)
+
+    def test_sheared_cube_with_a_cut_is_feasible(self):
+        # S(8, 64) plus an integer cut that a rational point meets: x_j =
+        # y_j - 64 x_(j+1) with x_8 = y_8 gives x_j + 64 x_(j+1) = y_j.
+        cut = ([-1, -3, 0, 1, -2, 1, -2, 0], -2095441111040)
+        y = [Fraction(v, 2) for v in (1, 0, 0, -1, 0, 1, 0, -1)]
+        x = [Fraction(0)] * 8
+        x[7] = y[7]
+        for j in range(6, -1, -1):
+            x[j] = y[j] - 64 * x[j + 1]
+        rows = list(sheared_cube(8, 64).rows) + [ineq(*cut)]
+        assert all(row_holds(row, x) for row in rows)
+        res = lp_feasible(*poly(rows, 8).split_arrays())
+        assert res.status is LpStatus.OPTIMAL
 
     def test_a_bad_optimum_raises_after_one_solve(self, monkeypatch):
         # The final point is checked inside the solve: a point read-out that
